@@ -4,27 +4,27 @@ the packed substrate.
 Two claims are asserted here and recorded in ``BENCH_search.json`` at
 the repo root (uploaded as a CI artifact):
 
-**Quality** (the PR 3 acceptance, unchanged): on skewed workloads where
-the Eq. 1 weight order misleads a budgeted greedy, ``annealing`` and
-``multi_start`` strictly beat greedy and recover the ``exhaustive``
-optimum, and the protocol greedy stays bit-identical to the engine.
+**Quality**: on skewed workloads where the Eq. 1 weight order misleads
+a budgeted greedy, ``annealing`` and ``multi_start`` strictly beat
+greedy and recover the ``exhaustive`` optimum, and the protocol greedy
+matches the engine.
 
-**Throughput** (this PR's acceptance): every algorithm evaluates
-configurations on the packed cost-table substrate at ≥ 10× the
-configs/second the committed pre-packed baseline recorded
-(``COMMITTED_CONFIGS_PER_SECOND`` below, the numbers shipped in
-``BENCH_search.json`` before the packed substrate landed), and on a
-16-kernel enumeration (65,536 subsets, ``max_candidates=20``) the
-packed Gray-code walk is ≥ 10× faster than the object-substrate DFS
-while certifying the *same* optimum — identical ``final_cycles``,
-``moved_bb_ids`` and Pareto fronts.
+**Throughput**: every algorithm evaluates configurations on the packed
+cost-table substrate at ≥ 10× the configs/second the committed
+pre-packed baseline recorded (``COMMITTED_CONFIGS_PER_SECOND`` below,
+the numbers shipped in ``BENCH_search.json`` before the packed table
+landed).  On a 16-kernel enumeration (65,536 subsets,
+``max_candidates=20``) the Gray-code walk certifies the *same* optimum
+as the test oracle's brute force — identical ``final_cycles``,
+``moved_bb_ids`` and Pareto front.
 
 Timing methodology: pricing (block mapping) is warmed before the timer
-starts — ``initial_cycles()`` prices every block on either substrate —
-so configs/second measures configuration *evaluation*, not DFG
-scheduling; each measurement is the best of ``REPEATS`` fresh
-partitioners (packed ones share one injected table, which is exactly
-how the explore/suite layers run).
+starts — ``initial_cycles()`` prices every block — so configs/second
+measures configuration *evaluation*, not DFG scheduling; each
+measurement is the best of ``REPEATS`` fresh partitioners sharing one
+injected table, which is exactly how the explore/suite layers run.
+The oracle is imported from ``tests/``, so run the benches from the
+repo root with ``python -m pytest``.
 """
 
 import json
@@ -43,7 +43,9 @@ from repro.partition import (
 )
 from repro.platform import paper_platform
 from repro.search import AlgorithmSpec, front_of_results, make_partitioner
+from repro.search.pareto import VisitedConfiguration, pareto_front
 from repro.workloads import generate_dfg, make_profile, synthetic_application
+from tests.oracle import brute_force, price_subset, rows_used
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
 
@@ -57,8 +59,8 @@ SPECS = (
 )
 
 #: configs/second recorded in the committed BENCH_search.json *before*
-#: the packed substrate (object CostState pricing, cold models) — the
-#: floor the ≥ 10× acceptance claim is measured against.
+#: the packed table (per-configuration object pricing, cold models) —
+#: the floor the ≥ 10× acceptance claim is measured against.
 COMMITTED_CONFIGS_PER_SECOND = {
     "skewed-handmade": {
         "greedy": 551,
@@ -121,12 +123,12 @@ SCENARIOS = {
 }
 
 
-def _measure(spec, workload, platform, config_kwargs, substrate, table):
+def _measure(spec, workload, platform, config_kwargs, table):
     """(partitioner after one run, best-of-REPEATS search seconds).
 
-    Pricing is excluded: ``initial_cycles()`` warms every block cost
-    (and the packed table) before the timer starts; each repeat uses a
-    fresh partitioner so no repeat replays another's cached search.
+    Pricing is excluded: the injected table is priced before the timer
+    starts; each repeat uses a fresh partitioner so no repeat replays
+    another's cached search.
     """
     best_seconds = None
     partitioner = None
@@ -135,8 +137,8 @@ def _measure(spec, workload, platform, config_kwargs, substrate, table):
             spec,
             workload,
             platform,
-            config=EngineConfig(substrate=substrate, **config_kwargs),
-            packed_table=table if substrate == "packed" else None,
+            config=EngineConfig(**config_kwargs),
+            packed_table=table,
         )
         partitioner.initial_cycles()
         started = time.perf_counter()
@@ -161,20 +163,15 @@ def _run_scenario(workload, budget):
     fronts = []
     for spec in SPECS:
         packed, packed_seconds = _measure(
-            spec, workload, platform, config_kwargs, "packed", table
-        )
-        reference, object_seconds = _measure(
-            spec, workload, platform, config_kwargs, "object", None
+            spec, workload, platform, config_kwargs, table
         )
         result = packed.run(1)
-        # The substrate differential, asserted per scenario: identical
-        # results and identical Pareto fronts.
-        assert result == reference.run(1), spec.name
+        # Every reported total re-prices identically through the oracle.
+        assert result.final_cycles == price_subset(
+            workload, platform, result.moved_bb_ids
+        )[3], spec.name
         front = packed.pareto_front()
-        assert front == reference.pareto_front(), spec.name
         fronts.append(front)
-        packed_cps = _configs_per_second(packed, packed_seconds)
-        object_cps = _configs_per_second(reference, object_seconds)
         rows[spec.name] = {
             "label": spec.label,
             "final_cycles": result.final_cycles,
@@ -184,14 +181,7 @@ def _run_scenario(workload, budget):
             "visited_configurations": packed.visited_count,
             "pareto_front_size": len(front),
             "seconds": round(packed_seconds, 6),
-            "configs_per_second": packed_cps,
-            "object_seconds": round(object_seconds, 6),
-            "object_configs_per_second": object_cps,
-            "packed_speedup": (
-                round(object_seconds / packed_seconds, 1)
-                if packed_seconds
-                else None
-            ),
+            "configs_per_second": _configs_per_second(packed, packed_seconds),
         }
     combined = front_of_results(fronts)
     return {
@@ -202,9 +192,9 @@ def _run_scenario(workload, budget):
 
 
 def _run_throughput_scenario():
-    """The ≥ 10× packed-vs-object claim needs enough configurations to
-    time: a 16-kernel synthetic workload enumerated exhaustively
-    (65,536 subsets) under the raised ``max_candidates=20`` guard."""
+    """A 16-kernel synthetic workload enumerated exhaustively (65,536
+    subsets) under the raised ``max_candidates=20`` guard, checked
+    against the oracle's brute force over the same subsets."""
     workload = synthetic_application(
         20, seed=5, kernel_fraction=0.8, comm_intensity=0.5,
         name="throughput-16k",
@@ -214,33 +204,42 @@ def _run_throughput_scenario():
     spec = AlgorithmSpec.exhaustive(max_candidates=20)
     config_kwargs = dict(stop_at_constraint=False)
     packed, packed_seconds = _measure(
-        spec, workload, platform, config_kwargs, "packed", table
-    )
-    reference, object_seconds = _measure(
-        spec, workload, platform, config_kwargs, "object", None
+        spec, workload, platform, config_kwargs, table
     )
     packed_result = packed.run(1)
-    object_result = reference.run(1)
     packed_front = packed.pareto_front()
-    object_front = reference.pareto_front()
+    optimum = brute_force(workload, platform)
+    oracle_front = pareto_front(
+        [
+            VisitedConfiguration(
+                total_cycles=price_subset(workload, platform, ids)[3],
+                moved_kernel_count=len(ids),
+                cgc_rows_used=rows_used(workload, platform, ids),
+                moved_bb_ids=ids,
+                algorithm="exhaustive",
+            )
+            for ids in map(table.bb_ids_of, range(1 << len(table)))
+        ]
+    )
     return {
         "workload": workload.name,
         "algorithm": spec.label,
         "visited_configurations": packed.visited_count,
-        "identical_results": packed_result == object_result,
-        "identical_fronts": packed_front == object_front,
+        "matches_oracle_optimum": (
+            packed_result.final_cycles
+            == price_subset(workload, platform, optimum)[3]
+        ),
+        "matches_oracle_moved_ids": (
+            tuple(sorted(packed_result.moved_bb_ids)) == optimum
+        ),
+        "matches_oracle_front": packed_front == oracle_front,
         "final_cycles": packed_result.final_cycles,
         "moved_bb_ids": list(packed_result.moved_bb_ids),
         "pareto_front_size": len(packed_front),
         "packed_seconds": round(packed_seconds, 6),
-        "object_seconds": round(object_seconds, 6),
         "packed_configs_per_second": _configs_per_second(
             packed, packed_seconds
         ),
-        "object_configs_per_second": _configs_per_second(
-            reference, object_seconds
-        ),
-        "packed_speedup": round(object_seconds / packed_seconds, 1),
     }
 
 
@@ -362,7 +361,7 @@ def report():
 
 
 # ----------------------------------------------------------------------
-# Quality (PR 3 acceptance, now running on the packed substrate)
+# Quality
 # ----------------------------------------------------------------------
 def test_exhaustive_lower_bounds_everything(report):
     for name, scenario in report["scenarios"].items():
@@ -431,7 +430,7 @@ def test_combined_front_spans_tradeoffs(report):
 
 
 # ----------------------------------------------------------------------
-# Throughput (this PR's acceptance)
+# Throughput
 # ----------------------------------------------------------------------
 def test_packed_beats_committed_baseline_by_10x(report, capsys):
     """Every algorithm on every skewed scenario evaluates ≥ 10× the
@@ -444,8 +443,7 @@ def test_packed_beats_committed_baseline_by_10x(report, capsys):
                 print(
                     f"  {name}/{algorithm}: {row['configs_per_second']:,} "
                     f"cfg/s packed vs {committed:,} committed "
-                    f"({row['configs_per_second'] / committed:.0f}x), "
-                    f"object now {row['object_configs_per_second']:,}"
+                    f"({row['configs_per_second'] / committed:.0f}x)"
                 )
     for name, scenario in report["scenarios"].items():
         for algorithm, row in scenario["algorithms"].items():
@@ -455,28 +453,21 @@ def test_packed_beats_committed_baseline_by_10x(report, capsys):
             )
 
 
-def test_packed_enumeration_10x_object_with_identical_optimum(
-    report, capsys
-):
-    """The Gray-code walk vs the object DFS on 65,536 subsets at
-    ``max_candidates=20``: ≥ 10× the throughput, same certified optimum,
-    same Pareto front."""
+def test_packed_enumeration_matches_oracle_brute_force(report, capsys):
+    """The Gray-code walk on 65,536 subsets at ``max_candidates=20``
+    certifies the oracle's brute-force optimum, moved ids and Pareto
+    front."""
     throughput = report["throughput"]
     with capsys.disabled():
         print(
             f"\n  {throughput['workload']}: "
             f"{throughput['visited_configurations']:,} configs — packed "
-            f"{throughput['packed_configs_per_second']:,}/s vs object "
-            f"{throughput['object_configs_per_second']:,}/s "
-            f"({throughput['packed_speedup']}x)"
+            f"{throughput['packed_configs_per_second']:,}/s"
         )
     assert throughput["visited_configurations"] == 2 ** 16
-    assert throughput["identical_results"]
-    assert throughput["identical_fronts"]
-    assert (
-        throughput["packed_configs_per_second"]
-        >= 10 * throughput["object_configs_per_second"]
-    )
+    assert throughput["matches_oracle_optimum"]
+    assert throughput["matches_oracle_moved_ids"]
+    assert throughput["matches_oracle_front"]
 
 
 def test_sharded_walk_matches_serial_and_scales(report, capsys):
@@ -539,6 +530,6 @@ def test_write_bench_json(report):
         for algorithm, row in rows.items():
             committed = COMMITTED_CONFIGS_PER_SECOND[name][algorithm]
             assert row["configs_per_second"] >= 10 * committed
-    assert loaded["throughput"]["identical_results"]
+    assert loaded["throughput"]["matches_oracle_optimum"]
     assert loaded["exact_search"]["branch_and_bound"]["pruned_subtrees"] > 0
     assert loaded["exact_search"]["certify_34"]["analytically_certified"]

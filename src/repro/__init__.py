@@ -17,7 +17,8 @@ every substrate it depends on:
   partitioning algorithm with its timing model (steps 2, Eq. 4);
 * :mod:`repro.coarsegrain` — the CGC data-path of ref. [6]: list
   scheduling, binding and timing (step 5, Eq. 3);
-* :mod:`repro.partition` — the partitioning engine loop (step 4, Eq. 2);
+* :mod:`repro.partition` — the partitioning engine loop (step 4, Eq. 2)
+  and the packed per-kernel cost table every algorithm prices on;
 * :mod:`repro.platform` — the generic hybrid platform of Figure 1;
 * :mod:`repro.workloads` — the OFDM transmitter and JPEG encoder
   (mini-C implementations + Table 1-calibrated synthetic models) plus a
@@ -26,10 +27,10 @@ every substrate it depends on:
   and CSV/JSON export of exploration reports;
 * :mod:`repro.explore` — parallel design-space exploration: declarative
   (workload × platform × constraint × algorithm) grids fanned out across
-  worker processes on top of the incremental engine;
+  worker processes, one shared cost table per (workload, platform);
 * :mod:`repro.search` — pluggable partitioning algorithms (greedy,
-  exhaustive, multi-start, simulated annealing) over the shared
-  incremental cost state, with Pareto-front multi-objective analysis;
+  exhaustive, multi-start, simulated annealing) over the shared packed
+  cost table, with Pareto-front multi-objective analysis;
 * :mod:`repro.suite` — named end-to-end scenario registry, batched
   runner, persistent SQLite/JSON result store and the thresholded
   regression comparison CI gates on.

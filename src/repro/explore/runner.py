@@ -2,7 +2,7 @@
 
 Work is split at (workload, platform, algorithm) granularity so every
 grid axis fans out across worker processes, but pricing is shared at
-(workload, platform) granularity: on the packed substrate a single
+(workload, platform) granularity: a single
 :class:`~repro.partition.packed.PackedCostTable` is derived per pair,
 cached per worker process (per call when serial), and injected into
 every partitioner the worker builds for that pair — so the algorithm
@@ -136,11 +136,10 @@ def _run_task(
     """Execute one (workload, platform) pair's (algorithm × constraint)
     sweep.
 
-    On the packed substrate the pair is priced once — the shared packed
-    table is derived (or fetched from the per-process cache) up front
-    and injected into every algorithm's partitioner, so the algorithm
-    and constraint axes add zero block-mapping work.  The object
-    substrate keeps one model per algorithm (the reference behaviour).
+    The pair is priced once — the shared packed table is derived (or
+    fetched from the per-process cache) up front and injected into every
+    algorithm's partitioner, so the algorithm and constraint axes add
+    zero block-mapping work.
     """
     workload = _cached_workload(
         task.workload, workload_cache, task.profile_cache_dir
@@ -148,21 +147,11 @@ def _run_task(
     platform = task.platform.build()
     config = task.engine_config or EngineConfig()
     outcome = _TaskOutcome()
-    table = None
-    # Derive the shared table only when some algorithm will actually run
-    # on it: greedy with incremental=False delegates to the full-rescan
-    # engine regardless of substrate, so an all-greedy reference task
-    # must not pay (or count) a dead pricing pass.
-    needs_table = config.substrate == "packed" and (
-        config.incremental
-        or any(algorithm.name != "greedy" for algorithm in task.algorithms)
+    pricing_stats = CostStats()
+    table = _cached_table(
+        task, workload, platform, config, pricing_stats, table_cache
     )
-    if needs_table:
-        pricing_stats = CostStats()
-        table = _cached_table(
-            task, workload, platform, config, pricing_stats, table_cache
-        )
-        outcome.absorb(pricing_stats)
+    outcome.absorb(pricing_stats)
     for algorithm in task.algorithms:
         partitioner = make_partitioner(
             algorithm, workload, platform, config=config, packed_table=table

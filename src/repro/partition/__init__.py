@@ -9,7 +9,6 @@ from .costs import (
     BlockContribution,
     BlockCosts,
     CostModel,
-    CostState,
     CostStats,
 )
 from .engine import (
@@ -19,8 +18,6 @@ from .engine import (
     partition_application,
 )
 from .packed import (
-    SUBSTRATE_NAMES,
-    PackedCostState,
     PackedCostTable,
     PackedGreedyTrajectory,
     PackedVisitLog,
@@ -39,18 +36,15 @@ __all__ = [
     "BlockWorkload",
     "CommunicationCost",
     "CostModel",
-    "CostState",
     "CostStats",
     "EngineConfig",
     "EngineStats",
-    "PackedCostState",
     "PackedCostTable",
     "PackedGreedyTrajectory",
     "PackedVisitLog",
     "PartitionResult",
     "PartitionStep",
     "PartitioningEngine",
-    "SUBSTRATE_NAMES",
     "kernel_communication",
     "partition_application",
     "total_communication_cycles",

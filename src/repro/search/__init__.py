@@ -2,11 +2,11 @@
 
 The paper prescribes one partitioner — the Figure 2 greedy kernel-move
 loop.  This subsystem turns partitioning into a *search problem* over
-kernel subsets, all algorithms sharing the O(1) incremental cost
-substrate (:mod:`repro.partition.costs`):
+kernel subsets, all algorithms pricing configurations on one packed
+cost table (:mod:`repro.partition.packed`):
 
-* :class:`GreedyPartitioner` — the paper's loop, bit-identical to
-  :class:`~repro.partition.engine.PartitioningEngine` results;
+* :class:`GreedyPartitioner` — the paper's loop, the implementation
+  behind :class:`~repro.partition.engine.PartitioningEngine`;
 * :class:`ExhaustivePartitioner` — optimal over all kernel subsets for
   small candidate counts; the ground truth heuristics are judged against;
 * :class:`MultiStartPartitioner` — randomized greedy restarts with

@@ -3,19 +3,15 @@ against.
 
 Eq. 2 prices any kernel subset in O(1) per inclusion, so for small
 candidate counts (the paper's applications have ≤ 8 meaningful kernels)
-every subset can be enumerated outright.  On the packed substrate the
-enumeration walks subsets in **Gray-code order**: consecutive codes
-differ in exactly one bit, so stepping from one configuration to the
-next is a single integer toggle — one addition to the running Eq. 2
-total, two appends to the visited column log, no recursion, no object
-churn.  That is what lets the packed default ``max_candidates`` cap sit
-at 24 (16.7M subsets); the object substrate keeps its historical
-default of 16 (its per-subset object churn makes 2^24 a
-minutes-to-hours mistake, not a default) — an explicit
-``max_candidates`` overrides either.  Under a move budget the packed
+every subset can be enumerated outright.  The enumeration walks subsets
+of the packed cost table's kernels in **Gray-code order**: consecutive
+codes differ in exactly one bit, so stepping from one configuration to
+the next is a single integer toggle — one addition to the running Eq. 2
+total, two appends to the visited column log, no recursion.  That is
+what lets the default ``max_candidates`` cap sit at 24 (16.7M subsets);
+an explicit ``max_candidates`` overrides it.  Under a move budget the
 walk switches to a budget-pruned depth-first enumeration (visiting only
-the subsets within the budget, like the object reference, instead of
-all 2^n codes).
+the subsets within the budget instead of all 2^n codes).
 
 Two composable exact-search modes push the certified range further:
 
@@ -44,11 +40,8 @@ Two composable exact-search modes push the certified range further:
   B&B decomposes over the 2^s assignments of the s most-gainful
   kernels; each prefix task is an independent B&B.
 
-The object substrate keeps the original depth-first walk over
-:class:`~repro.partition.costs.CostState` as the differential
-reference.  Both substrates visit exactly the same subset set and pick
-the same optimum — minimum total cycles, tie-broken by fewer moves then
-lexicographic BB ids.
+Every mode picks the same optimum — minimum total cycles, tie-broken by
+fewer moves then lexicographic BB ids.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ from dataclasses import dataclass
 
 from .. import telemetry
 from ..parallel import map_tasks
-from ..partition.costs import CostModel, CostState
 from ..partition.packed import PackedCostTable
 from ..partition.result import PartitionResult
 from .base import Partitioner, register_algorithm
@@ -400,14 +392,12 @@ class ExhaustivePartitioner(Partitioner):
     algorithm = "exhaustive"
 
     #: Default candidate caps when ``max_candidates`` is None, resolved
-    #: per substrate and exact-search mode — 2^n is cheap on the Gray
-    #: walk, cheaper still sharded across cores, and the
-    #: branch-and-bound certifies far past what enumeration can visit;
-    #: the object reference stays conservative.
+    #: per exact-search mode — 2^n is cheap on the Gray walk, cheaper
+    #: still sharded across cores, and the branch-and-bound certifies
+    #: far past what enumeration can visit.
     PACKED_DEFAULT_MAX_CANDIDATES = 24
     SHARDED_DEFAULT_MAX_CANDIDATES = 32
     PRUNED_DEFAULT_MAX_CANDIDATES = 40
-    OBJECT_DEFAULT_MAX_CANDIDATES = 16
 
     def __init__(
         self,
@@ -424,7 +414,7 @@ class ExhaustivePartitioner(Partitioner):
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
         self.max_candidates = max_candidates
-        #: Contiguous Gray-code segments to fan out (packed substrate).
+        #: Contiguous Gray-code segments to fan out.
         self.shards = shards
         #: Exact branch-and-bound instead of full enumeration.
         self.prune = prune
@@ -440,11 +430,9 @@ class ExhaustivePartitioner(Partitioner):
         #: worse bound can only explore more, never less — the
         #: monotonicity property the tests pin).
         self._bound_slack = 0
-        #: (ordering key, subset, skipped ids) once enumerated; the
-        #: optimum is constraint-independent so one enumeration serves
-        #: every run() of a sweep.
-        self._best: tuple[tuple, frozenset[int], list[int]] | None = None
-        #: Packed equivalent: the optimal configuration bitmask.
+        #: The optimal configuration bitmask once enumerated; the optimum
+        #: is constraint-independent so one enumeration serves every
+        #: run() of a sweep.
         self._best_mask: int | None = None
         if max_candidates is not None:
             self._validate_candidate_count(max_candidates)
@@ -456,13 +444,10 @@ class ExhaustivePartitioner(Partitioner):
         if len(candidates) <= max_candidates:
             return
         # Unsupported kernels never enter the enumeration, so only the
-        # supported count can breach the cap; pricing through a
-        # throwaway model keeps the lazily-built substrate (and the
-        # config-freeze contract) untouched.
-        probe = CostModel(self.workload, self.platform)
-        supported = sum(
-            1 for kernel in candidates if probe.contribution(kernel).supported
-        )
+        # supported count can breach the cap.  Counting with the
+        # data-path predicate CostModel.block_costs uses prices nothing.
+        supports_dfg = self.platform.datapath.supports_dfg
+        supported = sum(1 for kernel in candidates if supports_dfg(kernel.dfg))
         if supported > max_candidates:
             raise ValueError(
                 f"workload {self.workload.name!r} has {supported} supported "
@@ -474,80 +459,13 @@ class ExhaustivePartitioner(Partitioner):
     def _candidate_cap(self) -> int:
         if self.max_candidates is not None:
             return self.max_candidates
-        if self._uses_packed_substrate():
-            if self.prune:
-                return self.PRUNED_DEFAULT_MAX_CANDIDATES
-            if self.shards is not None and self.shards > 1:
-                return self.SHARDED_DEFAULT_MAX_CANDIDATES
-            return self.PACKED_DEFAULT_MAX_CANDIDATES
-        return self.OBJECT_DEFAULT_MAX_CANDIDATES
+        if self.prune:
+            return self.PRUNED_DEFAULT_MAX_CANDIDATES
+        if self.shards is not None and self.shards > 1:
+            return self.SHARDED_DEFAULT_MAX_CANDIDATES
+        return self.PACKED_DEFAULT_MAX_CANDIDATES
 
-    # ------------------------------------------------------------------
-    # Object substrate (differential reference)
-    # ------------------------------------------------------------------
-    def _enumerate(self) -> tuple[tuple, frozenset[int], list[int]]:
-        if self._best is not None:
-            return self._best
-        if self.shards is not None or self.prune or (
-            self.keep_visits is not None
-        ):
-            raise ValueError(
-                "sharded / pruned / reduced-log exact search runs on the "
-                "packed substrate only (EngineConfig.substrate='packed')"
-            )
-        supported, skipped = self._split_candidates()
-        cap = self._candidate_cap()
-        if len(supported) > cap:
-            raise ValueError(
-                f"{len(supported)} kernel candidates exceed the exhaustive "
-                f"limit of {cap} (2^n subsets); raise "
-                "max_candidates explicitly if you really want this"
-            )
-        budget = self.move_budget
-        state = CostState(self.model)
-        best_key = self._subset_key(state.total_ticks, state.moved)
-        best_subset = frozenset()
-        self._record_visited(state)
-        deadline = self._deadline
-        visits = 0
-        stopped = False
-
-        def walk(index: int) -> None:
-            nonlocal best_key, best_subset, visits, stopped
-            if index == len(supported) or stopped:
-                return
-            # Exclude branch first so the all-FPGA prefix is explored
-            # without touching the state.
-            walk(index + 1)
-            if (budget is not None and len(state.moved) >= budget) or stopped:
-                return
-            bb_id = supported[index].bb_id
-            state.apply_move(bb_id)
-            self._record_visited(state)
-            key = self._subset_key(state.total_ticks, state.moved)
-            if key < best_key:
-                best_key = key
-                best_subset = frozenset(state.moved)
-            visits += 1
-            if (
-                deadline is not None
-                and not visits & DEADLINE_CHECK_MASK
-                and deadline.expired()
-            ):
-                stopped = True
-            walk(index + 1)
-            state.revert_move(bb_id)
-
-        walk(0)
-        if stopped:
-            self._mark_partial()
-        self._best = (best_key, best_subset, skipped)
-        return self._best
-
-    # ------------------------------------------------------------------
-    # Packed substrate
-    # ------------------------------------------------------------------
-    def _enumerate_packed(self) -> int:
+    def _enumerate(self) -> int:
         if self._best_mask is not None:
             return self._best_mask
         table = self._packed_table_checked()
@@ -740,7 +658,7 @@ class ExhaustivePartitioner(Partitioner):
             append_masks(mask)
             if total > best_total:
                 continue
-            # Ties follow the object key: ticks, then fewer moves, then
+            # Ties follow the optimum key: ticks, then fewer moves, then
             # the lexicographically smallest BB tuple (decoded lazily —
             # exact ties are rare).
             count = mask.bit_count()
@@ -811,11 +729,5 @@ class ExhaustivePartitioner(Partitioner):
     def _search(
         self, timing_constraint: int, result: PartitionResult
     ) -> None:
-        if self._uses_packed_substrate():
-            mask = self._enumerate_packed()
-            self._fill_result_from_mask(result, mask, timing_constraint)
-            return
-        __, subset, skipped = self._enumerate()
-        self._fill_result_from_subset(
-            result, subset, timing_constraint, skipped
-        )
+        mask = self._enumerate()
+        self._fill_result_from_mask(result, mask, timing_constraint)

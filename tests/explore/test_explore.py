@@ -176,22 +176,6 @@ class TestExplore:
         )
         assert all(r.kernels_moved <= 1 for r in strict.results)
 
-    def test_full_rescan_reference_mode_honoured(self, small_space):
-        """EngineConfig.incremental=False must reach the engine through
-        the partitioner layer (regression: the flag was silently
-        ignored), visible as the full-rescan evaluation blow-up."""
-        incremental = explore(small_space, max_workers=1)
-        rescan = explore(
-            small_space,
-            max_workers=1,
-            engine_config=EngineConfig(incremental=False),
-        )
-        assert rescan.results == incremental.results
-        assert (
-            rescan.contribution_lookups
-            > 2 * incremental.contribution_lookups
-        )
-
     def test_stats_aggregate(self, small_report):
         assert small_report.block_cost_evaluations > 0
         assert small_report.blocks_mapped > 0

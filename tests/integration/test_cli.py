@@ -85,31 +85,18 @@ class TestPartitionCommand:
         assert "multi_start" in out
         assert "Pareto front" in out
 
-    def test_substrate_flag_both_paths_agree(self, capsys):
-        """--substrate packed|object run the same partition and print
-        identical summaries (the CLI-level differential check)."""
-        outputs = {}
-        for substrate in ("packed", "object"):
-            code = main(
-                [
-                    "partition", "--workload", "ofdm",
-                    "--fraction", "0.5", "--substrate", substrate,
-                ]
-            )
-            assert code == 0
-            outputs[substrate] = capsys.readouterr().out
-        assert outputs["packed"] == outputs["object"]
-
     def test_unknown_substrate_rejected(self, capsys):
+        """There is one pricing substrate; the flag that chose between
+        two is gone, so any --substrate is a usage error."""
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "partition", "--workload", "ofdm",
-                    "--fraction", "0.5", "--substrate", "simd",
+                    "--fraction", "0.5", "--substrate", "packed",
                 ]
             )
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sharded_exhaustive_prints_shard_stats(self, capsys):
         code = main(
@@ -245,38 +232,6 @@ class TestExploreCommand:
         assert {row["algorithm"] for row in rows} == {"greedy", "multi_start"}
         payload = json.loads(json_path.read_text())
         assert payload["summary"]["points"] == 2
-
-    def test_explore_substrate_flag(self, capsys, tmp_path):
-        """Both substrates sweep the same grid to the same CSV rows;
-        an unknown substrate is an argparse usage error."""
-        rows_by_substrate = {}
-        for substrate in ("packed", "object"):
-            csv_path = tmp_path / f"grid-{substrate}.csv"
-            code = main(
-                [
-                    "explore",
-                    "--workloads", "synthetic:12:seed=2",
-                    "--afpga", "1500",
-                    "--cgcs", "2",
-                    "--fractions", "0.5",
-                    "--substrate", substrate,
-                    "--csv", str(csv_path),
-                ]
-            )
-            capsys.readouterr()
-            assert code == 0
-            with csv_path.open() as handle:
-                rows_by_substrate[substrate] = list(csv.DictReader(handle))
-        assert rows_by_substrate["packed"] == rows_by_substrate["object"]
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "explore", "--workloads", "ofdm",
-                    "--substrate", "quantum",
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_export_path_reports_instead_of_crashing(
         self, capsys, tmp_path

@@ -1,13 +1,16 @@
-"""Tests for the shared incremental cost substrate (CostModel/CostState)
-and the EngineConfig freeze-after-run contract."""
+"""Tests for the per-block pricer (CostModel) and the EngineConfig
+freeze-after-run contract of the engine facade."""
 
 import pytest
 
 from repro.partition import (
     CostModel,
-    CostState,
     EngineConfig,
     PartitioningEngine,
+)
+from repro.partition.costs import (
+    ceil_ticks_to_cycles,
+    split_ticks_single_rounding,
 )
 from repro.platform import paper_platform
 from repro.workloads import synthetic_application
@@ -58,10 +61,11 @@ class TestCostModel:
         assert fresh.stats.blocks_mapped == 1
 
     def test_split_ticks_components_sum(self, model):
+        ratio = model.platform.clock_ratio
         for ticks in ((10, 11, 12), (1, 1, 1), (0, 0, 5), (7, 0, 0)):
-            fpga, cgc, comm, total = model.split_ticks(*ticks)
+            fpga, cgc, comm, total = split_ticks_single_rounding(ratio, *ticks)
             assert fpga + cgc + comm == total
-            assert total == model.ticks_to_cycles(sum(ticks))
+            assert total == ceil_ticks_to_cycles(sum(ticks), ratio)
 
     def test_rows_metric_populated(self, workload, model):
         rows = [
@@ -70,83 +74,6 @@ class TestCostModel:
             if model.contribution(b).supported
         ]
         assert rows and all(r >= 1 for r in rows)
-
-
-class TestCostState:
-    def test_apply_revert_round_trip(self, workload, model):
-        state = CostState(model)
-        start = state.ticks
-        kernel = next(
-            b
-            for b in model.kernel_candidates()
-            if model.contribution(b).supported
-        )
-        delta = state.apply_move(kernel.bb_id)
-        assert state.total_ticks == model.initial_ticks() + delta
-        assert kernel.bb_id in state.moved
-        state.revert_move(kernel.bb_id)
-        assert state.ticks == start
-        assert not state.moved
-
-    def test_propose_matches_apply(self, model):
-        state = CostState(model)
-        kernel = next(
-            b
-            for b in model.kernel_candidates()
-            if model.contribution(b).supported
-        )
-        proposed = state.propose_move(kernel.bb_id)
-        assert state.apply_move(kernel.bb_id) == proposed
-        # Toggling back is the exact negation.
-        assert state.propose_move(kernel.bb_id) == -proposed
-
-    def test_double_apply_rejected(self, model):
-        state = CostState(model)
-        kernel = next(
-            b
-            for b in model.kernel_candidates()
-            if model.contribution(b).supported
-        )
-        state.apply_move(kernel.bb_id)
-        with pytest.raises(ValueError):
-            state.apply_move(kernel.bb_id)
-
-    def test_revert_unmoved_rejected(self, model):
-        with pytest.raises(ValueError):
-            CostState(model).revert_move(999)
-
-    def test_incremental_matches_rescan(self, workload, model):
-        """Applying moves one by one equals recomputing from scratch."""
-        state = CostState(model)
-        supported = [
-            b.bb_id
-            for b in model.kernel_candidates()
-            if model.contribution(b).supported
-        ]
-        for bb_id in supported:
-            state.apply_move(bb_id)
-        fpga = sum(
-            model.contribution(b).fpga_ticks
-            for b in workload.blocks
-            if b.bb_id not in state.moved
-        )
-        cgc = sum(
-            model.contribution_by_id(b).cgc_ticks for b in state.moved
-        )
-        comm = sum(
-            model.contribution_by_id(b).comm_ticks for b in state.moved
-        )
-        assert state.ticks == (fpga, cgc, comm)
-
-    def test_rows_used_is_max_over_moved(self, model):
-        state = CostState(model)
-        assert state.cgc_rows_used() == 0
-        rows = []
-        for kernel in model.kernel_candidates():
-            if model.contribution(kernel).supported:
-                state.apply_move(kernel.bb_id)
-                rows.append(model.contribution(kernel).cgc_rows)
-        assert state.cgc_rows_used() == max(rows)
 
 
 class TestEngineConfigFreeze:

@@ -1,5 +1,5 @@
 """Tests for the greedy-move revert fix, the single-rounding invariant,
-and the incremental-vs-full-rescan differential."""
+and the engine's cached (incremental) move trajectory."""
 
 import pytest
 
@@ -68,15 +68,6 @@ class TestRegressingMoveRevert:
         assert result.final_cycles > result.initial_cycles
         assert result.reduction_percent < 0.0
 
-    def test_full_rescan_mode_also_reverts(self, regressing_workload):
-        config = EngineConfig(incremental=False)
-        engine = PartitioningEngine(
-            regressing_workload, paper_platform(1500, 2), config=config
-        )
-        result = engine.run(1)
-        assert 1 in result.reverted_bb_ids
-        assert result.final_cycles <= result.initial_cycles
-
     def test_paper_workloads_never_regress(self, ofdm, jpeg):
         for workload in (ofdm, jpeg):
             result = PartitioningEngine(
@@ -126,54 +117,8 @@ class TestComponentRounding:
 
 
 class TestIncrementalDifferential:
-    @pytest.mark.parametrize("allow_regressing", [False, True])
-    def test_identical_results_on_paper_workloads(
-        self, ofdm, jpeg, allow_regressing
-    ):
-        for workload in (ofdm, jpeg):
-            for afpga, cgc_count in ((1500, 2), (5000, 3)):
-                platform = paper_platform(afpga, cgc_count)
-                inc = PartitioningEngine(
-                    workload,
-                    platform,
-                    config=EngineConfig(
-                        incremental=True,
-                        allow_regressing_moves=allow_regressing,
-                    ),
-                )
-                full = PartitioningEngine(
-                    workload,
-                    platform,
-                    config=EngineConfig(
-                        incremental=False,
-                        allow_regressing_moves=allow_regressing,
-                    ),
-                )
-                initial = inc.initial_cycles()
-                constraints = [1, initial // 2, (initial * 3) // 4, initial * 2]
-                assert inc.sweep(constraints) == full.sweep(constraints)
-
-    def test_incremental_needs_fewer_evaluations(self, ofdm):
-        platform = paper_platform(1500, 2)
-        inc = PartitioningEngine(ofdm, platform)
-        full = PartitioningEngine(
-            ofdm, platform, config=EngineConfig(incremental=False)
-        )
-        initial = inc.initial_cycles()
-        constraints = [1, initial // 2, (initial * 3) // 4]
-        inc.sweep(constraints)
-        full.sweep(constraints)
-        # Contributions are computed once per block either way (the
-        # evaluation counter tracks cache misses); the rescan blow-up
-        # shows in how often the aggregation *consults* the model.
-        assert (
-            full.stats.contribution_lookups
-            > 5 * inc.stats.contribution_lookups
-        )
-        assert (
-            full.stats.block_cost_evaluations
-            == inc.stats.block_cost_evaluations
-        )
+    """The constraint-independent trajectory, computed once and replayed
+    per constraint."""
 
     def test_strict_mode_raises_consistently_on_retry(self):
         from repro.analysis import profile_cdfg

@@ -1,25 +1,23 @@
 """Tests for the packed cost-table substrate (repro.partition.packed).
 
 The contract under test: a :class:`PackedCostTable` derived from a
-:class:`CostModel` is *bit-identical* to it — same Eq. 2 terms, same
-candidate order, same tick arithmetic, same single-rounding cycle
-split — so the search layer can swap substrates without changing a
-single reported number.
+:class:`CostModel` carries the model's Eq. 2 terms verbatim, in Eq. 1
+candidate order, and its subset arithmetic and single-rounding cycle
+split agree with the test-only :mod:`oracle`.
 """
 
 import pickle
 
 import pytest
+from oracle import oracle_greedy, price_subset, rows_used, split_cycles
 
 from repro.analysis.weights import WeightModel
 from repro.partition import (
     CostModel,
-    CostState,
     PackedCostTable,
     PackedGreedyTrajectory,
     PackedVisitLog,
 )
-from repro.partition.trajectory import GreedyTrajectory
 from repro.platform import paper_platform
 from repro.workloads import synthetic_application
 
@@ -77,7 +75,9 @@ class TestTableDerivation:
 
     def test_initial_ticks_and_cycles(self, model, table):
         assert table.initial_ticks == model.initial_ticks()
-        assert table.initial_cycles() == model.initial_cycles()
+        assert table.initial_cycles() == price_subset(
+            model.workload, model.platform, ()
+        )[3]
         assert table.clock_ratio == model.platform.clock_ratio
 
     def test_names(self, model, table):
@@ -86,32 +86,37 @@ class TestTableDerivation:
 
 
 class TestTableArithmetic:
-    def test_split_ticks_parity(self, model, table):
+    def test_split_ticks_parity(self, table):
         for ticks in (
             (10, 11, 12), (1, 1, 1), (0, 0, 5), (7, 0, 0),
             (123456, 789, 10111), (2, 2, 2), (0, 0, 0),
         ):
-            assert table.split_ticks(*ticks) == model.split_ticks(*ticks)
-
-    def test_ticks_to_cycles_parity(self, model, table):
-        for ticks in (0, 1, 2, 3, 4, 7, 999, 1000, 12345):
-            assert table.ticks_to_cycles(ticks) == model.ticks_to_cycles(
-                ticks
+            assert table.split_ticks(*ticks) == split_cycles(
+                table.clock_ratio, ticks
             )
 
+    def test_ticks_to_cycles_parity(self, table):
+        for ticks in (0, 1, 2, 3, 4, 7, 999, 1000, 12345):
+            assert table.ticks_to_cycles(ticks) == split_cycles(
+                table.clock_ratio, (ticks, 0, 0)
+            )[3]
+
     @pytest.mark.parametrize("mask_seed", [1, 7, 42])
-    def test_mask_ticks_match_cost_state(self, model, table, mask_seed):
-        """Pseudo-random subsets price identically on both substrates."""
+    def test_mask_ticks_match_cost_state(self, workload, table, mask_seed):
+        """A pseudo-random mask's tick state prices identically to the
+        cost the oracle computes for that subset."""
         import random
 
         rng = random.Random(mask_seed)
         mask = rng.randrange(1 << len(table))
-        state = CostState(model)
-        for bb_id in table.bb_ids_of(mask):
-            state.apply_move(bb_id)
-        assert table.ticks_of(mask) == state.ticks
-        assert table.total_ticks_of(mask) == state.total_ticks
-        assert table.rows_used(mask) == state.cgc_rows_used()
+        bb_ids = table.bb_ids_of(mask)
+        platform = paper_platform(1500, 2)
+        ticks = table.ticks_of(mask)
+        assert sum(ticks) == table.total_ticks_of(mask)
+        assert table.split_ticks(*ticks) == price_subset(
+            workload, platform, bb_ids
+        )
+        assert table.rows_used(mask) == rows_used(workload, platform, bb_ids)
 
     def test_mask_round_trip(self, table):
         subset = table.bb_ids[::2]
@@ -150,21 +155,6 @@ class TestPickling:
         """The point of shipping tables between processes: a table is
         orders of magnitude smaller than its workload's DFGs."""
         assert len(pickle.dumps(table)) < len(pickle.dumps(workload)) / 10
-
-
-class TestPackedState:
-    def test_toggle_round_trip(self, table):
-        state = table.state()
-        start = state.ticks
-        delta = state.toggle(0)
-        assert delta == table.move_delta[0]
-        assert state.mask == 1
-        assert state.moved_count == 1
-        assert state.total_ticks == table.initial_ticks + delta
-        assert state.propose(0) == -delta
-        state.toggle(0)
-        assert state.ticks == start
-        assert state.mask == 0 and state.moved_count == 0
 
 
 class TestVisitLog:
@@ -264,12 +254,23 @@ class TestVisitLog:
 
 
 class TestPackedGreedyTrajectory:
-    def test_entries_match_object_trajectory(self, model, table):
-        packed = PackedGreedyTrajectory(table)
-        reference = GreedyTrajectory(model, WeightModel())
-        assert list(packed.iter_entries()) == list(
-            reference.iter_entries()
+    def test_entries_match_oracle_greedy(self, workload, table):
+        """Without a constraint stop, the decisions are the oracle's
+        Figure 2 loop and every entry's totals re-price identically."""
+        platform = paper_platform(1500, 2)
+        entries = list(PackedGreedyTrajectory(table).iter_entries())
+        decisions = tuple(
+            [e.bb_id for e in entries if e.action == action]
+            for action in ("moved", "reverted", "skipped")
         )
+        assert decisions == oracle_greedy(workload, platform, 1, stop=False)
+        moved = []
+        for entry in entries:
+            if entry.action == "moved":
+                moved.append(entry.bb_id)
+            assert table.split_ticks(*entry.ticks) == price_subset(
+                workload, platform, moved
+            )
 
     def test_masks_track_moved_prefixes(self, table):
         trajectory = PackedGreedyTrajectory(table)

@@ -1,23 +1,25 @@
-"""Packed vs. object substrate differential coverage.
+"""The packed pricing substrate against the test-only Eq. 2 oracle.
 
-The acceptance contract of the packed refactor: on every registered
-workload (the paper apps, the filter bank and Viterbi decoder, and the
-synthetic skew / communication / size families) and every algorithm,
-both substrates produce identical :class:`PartitionResult` records and
-identical Pareto fronts.  The object substrate is the reference; the
-packed substrate is the one the defaults select.
+On every registered workload (the paper apps, the filter bank and
+Viterbi decoder, and the synthetic skew / communication / size
+families) and every algorithm, each reported cycle count must re-price
+identically through :mod:`oracle`, which recomputes Eq. 2 straight from
+the fabric timing models.  Greedy must follow the oracle's Figure 2
+loop and exhaustive must find the oracle's brute-force optimum.
 """
 
 import pytest
+from oracle import brute_force, oracle_greedy, price_subset, rows_used
 
 from repro.explore import WorkloadSpec
 from repro.partition import EngineConfig
 from repro.platform import paper_platform
 from repro.search import AlgorithmSpec, make_partitioner
+from repro.search.pareto import VisitedConfiguration, pareto_front
 
 # Every registered workload family (suite registry coverage), built once
-# per module.  Exhaustive runs under a move budget on the larger ones so
-# the object reference enumeration stays tractable.
+# per module.  Exhaustive runs under a move budget so the brute-force
+# oracle stays tractable on the larger ones.
 WORKLOAD_SPECS = (
     WorkloadSpec.ofdm(),
     WorkloadSpec.jpeg(),
@@ -33,14 +35,12 @@ WORKLOAD_SPECS = (
 
 ALGORITHM_SPECS = (
     AlgorithmSpec.greedy(),
-    # Explicit cap: the differential property is per-cap, and the
-    # substrate-resolved defaults deliberately differ (24 packed / 16
-    # object).  The move budget below keeps the object DFS pruned on
-    # kernel-rich workloads.
     AlgorithmSpec.exhaustive(max_candidates=128),
     AlgorithmSpec.multi_start(restarts=6, seed=3),
     AlgorithmSpec.annealing(seed=7, temp_levels=10),
 )
+
+EXHAUSTIVE_BUDGET = 2
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +53,22 @@ def platform():
     return paper_platform(1500, 2)
 
 
-def _config(substrate: str, algorithm: AlgorithmSpec) -> EngineConfig:
-    # Exhaustive needs a budget on kernel-rich workloads: the object
-    # reference enumerates subsets one Python call at a time.
-    budget = 2 if algorithm.name == "exhaustive" else None
-    return EngineConfig(substrate=substrate, max_kernels_moved=budget)
+def _config(algorithm: AlgorithmSpec) -> EngineConfig:
+    budget = EXHAUSTIVE_BUDGET if algorithm.name == "exhaustive" else None
+    return EngineConfig(max_kernels_moved=budget)
+
+
+def _oracle_visits(workload, platform, visited, algorithm):
+    return [
+        VisitedConfiguration(
+            total_cycles=price_subset(workload, platform, v.moved_bb_ids)[3],
+            moved_kernel_count=len(v.moved_bb_ids),
+            cgc_rows_used=rows_used(workload, platform, v.moved_bb_ids),
+            moved_bb_ids=v.moved_bb_ids,
+            algorithm=algorithm,
+        )
+        for v in visited
+    ]
 
 
 @pytest.mark.parametrize(
@@ -70,67 +81,50 @@ def test_substrates_are_bit_identical(
     workloads, platform, workload_label, algorithm
 ):
     workload = workloads[workload_label]
-    packed = make_partitioner(
-        algorithm, workload, platform,
-        config=_config("packed", algorithm),
-    )
-    reference = make_partitioner(
-        algorithm, workload, platform,
-        config=_config("object", algorithm),
-    )
-    initial = packed.initial_cycles()
-    assert initial == reference.initial_cycles()
-    constraints = [1, max(1, initial // 2)]
-    packed_results = packed.sweep(constraints)
-    reference_results = reference.sweep(constraints)
-    assert packed_results == reference_results
-    for packed_result in packed_results:
-        assert packed_result.final_cycles <= packed_result.initial_cycles
-    assert packed.pareto_front() == reference.pareto_front()
-    assert packed.visited_count == reference.visited_count
-    assert packed.visited == reference.visited
-
-
-def test_exhaustive_default_cap_is_substrate_aware(workloads, platform):
-    """OFDM has 18 supported kernels: within the packed default cap of
-    24 (the Gray walk enumerates 2^18 cheaply), beyond the object
-    default of 16 (where 2^18 subsets of object churn is a guard-worthy
-    mistake).  An explicit cap applies to either substrate."""
-    workload = workloads["ofdm-transmitter"]
-    packed = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="packed"),
-    )
-    assert packed.run(1).final_cycles <= packed.run(1).initial_cycles
-    reference = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="object"),
-    )
-    with pytest.raises(ValueError, match="exceed the exhaustive limit"):
-        reference.run(1)
-    # Explicitly raised, the object reference enumerates (and agrees).
-    raised = make_partitioner(
-        AlgorithmSpec.exhaustive(max_candidates=18), workload, platform,
-        config=EngineConfig(substrate="object"),
-    )
-    assert raised.run(1) == packed.run(1)
-
-
-def test_unknown_substrate_rejected(workloads, platform):
-    with pytest.raises(ValueError, match="unknown substrate"):
-        EngineConfig(substrate="simd")
-    # A config mutated to a bad name after construction is caught at
-    # first use.
-    config = EngineConfig()
-    config.substrate = "simd"
     partitioner = make_partitioner(
-        AlgorithmSpec.greedy(),
-        workloads["ofdm-transmitter"],
-        platform,
-        config=config,
+        algorithm, workload, platform, config=_config(algorithm)
     )
-    with pytest.raises(ValueError, match="unknown substrate"):
-        partitioner.run(1)
+    initial = partitioner.initial_cycles()
+    assert initial == price_subset(workload, platform, ())[3]
+    constraints = [1, max(1, initial // 2)]
+    for constraint, result in zip(
+        constraints, partitioner.sweep(constraints), strict=True
+    ):
+        assert result.final_cycles <= result.initial_cycles
+        assert result.final_cycles == price_subset(
+            workload, platform, result.moved_bb_ids
+        )[3]
+        for count, step in enumerate(result.steps, start=1):
+            assert (
+                step.fpga_cycles,
+                step.cgc_fpga_cycles,
+                step.comm_cycles,
+                step.total_cycles,
+            ) == price_subset(workload, platform, result.moved_bb_ids[:count])
+        if algorithm.name == "greedy":
+            assert (
+                result.moved_bb_ids,
+                result.reverted_bb_ids,
+                result.skipped_bb_ids,
+            ) == oracle_greedy(workload, platform, constraint)
+        if algorithm.name == "exhaustive":
+            assert tuple(sorted(result.moved_bb_ids)) == brute_force(
+                workload, platform, EXHAUSTIVE_BUDGET
+            )
+    visited = partitioner.visited
+    assert len(visited) == partitioner.visited_count
+    repriced = _oracle_visits(workload, platform, visited, algorithm.name)
+    assert visited == repriced
+    assert partitioner.pareto_front() == pareto_front(repriced)
+
+
+def test_unknown_substrate_rejected():
+    """The object substrate and the full-rescan engine are gone, and
+    so are the config fields that selected them."""
+    with pytest.raises(TypeError, match="substrate"):
+        EngineConfig(substrate="packed")
+    with pytest.raises(TypeError, match="incremental"):
+        EngineConfig(incremental=False)
 
 
 def test_injected_table_matches_derived(workloads, platform):
@@ -144,12 +138,11 @@ def test_injected_table_matches_derived(workloads, platform):
     shipped = pickle.loads(pickle.dumps(table))
     for algorithm in ALGORITHM_SPECS:
         direct = make_partitioner(
-            algorithm, workload, platform,
-            config=_config("packed", algorithm),
+            algorithm, workload, platform, config=_config(algorithm)
         )
         injected = make_partitioner(
             algorithm, workload, platform,
-            config=_config("packed", algorithm), packed_table=shipped,
+            config=_config(algorithm), packed_table=shipped,
         )
         assert injected.run(1) == direct.run(1)
         assert injected.pareto_front() == direct.pareto_front()
@@ -157,20 +150,22 @@ def test_injected_table_matches_derived(workloads, platform):
         assert injected.stats.blocks_mapped == 0
 
 
-def test_exhaustive_unbudgeted_gray_walk_matches_object(platform):
-    """The Gray-code walk (no budget) against the object DFS on a
-    workload small enough to enumerate both ways."""
+def test_exhaustive_unbudgeted_gray_walk_matches_brute_force(platform):
+    """The Gray-code walk (no budget) visits every subset once, finds
+    the brute-force optimum and the front of all oracle-priced subsets."""
     workload = WorkloadSpec.synthetic(
         12, seed=3, kernel_fraction=0.8, comm_intensity=0.8
     ).build()
-    packed = make_partitioner(
+    partitioner = make_partitioner(
         AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="packed", stop_at_constraint=False),
+        config=EngineConfig(stop_at_constraint=False),
     )
-    reference = make_partitioner(
-        AlgorithmSpec.exhaustive(), workload, platform,
-        config=EngineConfig(substrate="object", stop_at_constraint=False),
+    result = partitioner.run(1)
+    assert tuple(sorted(result.moved_bb_ids)) == brute_force(
+        workload, platform
     )
-    assert packed.run(1) == reference.run(1)
-    assert packed.visited_count == reference.visited_count
-    assert packed.pareto_front() == reference.pareto_front()
+    assert partitioner.visited_count == 2 ** len(partitioner.table)
+    repriced = _oracle_visits(
+        workload, platform, partitioner.visited, "exhaustive"
+    )
+    assert partitioner.pareto_front() == pareto_front(repriced)

@@ -1,6 +1,7 @@
 """Tests for the pluggable partitioning-algorithm subsystem."""
 
 import pytest
+from oracle import oracle_greedy
 
 from repro.partition import (
     ApplicationWorkload,
@@ -101,8 +102,13 @@ class TestAlgorithmSpec:
             assert partitioner.algorithm == spec.name
 
 
+def _decisions(result):
+    return result.moved_bb_ids, result.reverted_bb_ids, result.skipped_bb_ids
+
+
 class TestGreedyDifferential:
-    """The protocol greedy must be bit-identical to the engine."""
+    """The engine facade and the protocol greedy both follow the
+    oracle's Figure 2 loop."""
 
     @pytest.mark.parametrize("afpga,cgc_count", [(1500, 2), (5000, 3)])
     def test_identical_on_paper_workloads(self, ofdm, jpeg, afpga, cgc_count):
@@ -112,7 +118,12 @@ class TestGreedyDifferential:
             greedy = GreedyPartitioner(workload, plat)
             initial = engine.initial_cycles()
             constraints = [1, initial // 2, (initial * 3) // 4, initial * 2]
-            assert greedy.sweep(constraints) == engine.sweep(constraints)
+            results = greedy.sweep(constraints)
+            assert results == engine.sweep(constraints)
+            for constraint, result in zip(constraints, results, strict=True):
+                assert _decisions(result) == oracle_greedy(
+                    workload, plat, constraint
+                )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_on_synthetic_workloads(self, seed, platform):
@@ -123,22 +134,32 @@ class TestGreedyDifferential:
         greedy = GreedyPartitioner(workload, platform)
         initial = engine.initial_cycles()
         constraints = [1, initial // 2, (initial * 9) // 10]
-        assert greedy.sweep(constraints) == engine.sweep(constraints)
+        results = greedy.sweep(constraints)
+        assert results == engine.sweep(constraints)
+        for constraint, result in zip(constraints, results, strict=True):
+            assert _decisions(result) == oracle_greedy(
+                workload, platform, constraint
+            )
 
     def test_identical_under_budget_and_no_stop(self, ofdm):
-        for config in (
-            EngineConfig(max_kernels_moved=2),
-            EngineConfig(stop_at_constraint=False),
-            EngineConfig(allow_regressing_moves=True),
+        plat = paper_platform(1500, 2)
+        for config, oracle_kwargs in (
+            (EngineConfig(max_kernels_moved=2), {"budget": 2}),
+            (EngineConfig(stop_at_constraint=False), {"stop": False}),
+            (EngineConfig(allow_regressing_moves=True), None),
         ):
-            plat = paper_platform(1500, 2)
             engine = PartitioningEngine(
                 ofdm, plat, config=EngineConfig(**vars(config))
             )
             greedy = GreedyPartitioner(
                 ofdm, plat, config=EngineConfig(**vars(config))
             )
-            assert greedy.run(1) == engine.run(1)
+            result = greedy.run(1)
+            assert result == engine.run(1)
+            if oracle_kwargs is not None:
+                assert _decisions(result) == oracle_greedy(
+                    ofdm, plat, 1, **oracle_kwargs
+                )
 
     def test_strict_unsupported_mode_raises(self, platform):
         from repro.analysis import profile_cdfg
@@ -203,22 +224,53 @@ class TestExhaustive:
         with pytest.raises(ValueError, match=r"24 supported.*max_candidates=4"):
             ExhaustivePartitioner(workload, platform, max_candidates=4)
 
-    def test_default_cap_guard_at_run_time(self, platform):
+    def test_candidate_limit_guard_maps_no_block(self, platform, monkeypatch):
+        """The cap check counts supported kernels without scheduling or
+        temporally partitioning a single block — with or without an
+        injected table (regression: it priced the whole workload)."""
+        import repro.partition.costs as costs
+        from repro.partition import CostModel, PackedCostTable
+
         workload = synthetic_application(
             24, seed=1, kernel_fraction=1.0, comm_intensity=0.2
         )
+        table = PackedCostTable.from_model(CostModel(workload, platform))
+        calls = []
+        for name in ("block_cgc_timing", "block_fpga_timing"):
+            original = getattr(costs, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(costs, name, counted)
+        for packed_table in (None, table):
+            with pytest.raises(
+                ValueError, match=r"24 supported.*max_candidates=4"
+            ):
+                ExhaustivePartitioner(
+                    workload, platform, max_candidates=4,
+                    packed_table=packed_table,
+                )
+        assert calls == []
+
+    def test_default_cap_guard_at_run_time(self, platform):
+        """25 supported kernels breach the default cap of 24: nothing
+        fails at construction, the run refuses before enumerating."""
+        workload = synthetic_application(
+            25, seed=1, kernel_fraction=1.0, comm_intensity=0.2
+        )
         partitioner = ExhaustivePartitioner(workload, platform)
-        partitioner.config.substrate = "object"
-        with pytest.raises(ValueError, match="exceed the exhaustive limit"):
+        assert partitioner.PACKED_DEFAULT_MAX_CANDIDATES == 24
+        with pytest.raises(ValueError, match="25 kernel candidates exceed"):
             partitioner.run(1)
 
     def test_visits_every_subset(self, skewed_workload, platform):
         partitioner = ExhaustivePartitioner(skewed_workload, platform)
         partitioner.run(1)
-        # 3 supported kernels (BB 4 is below no threshold but is a
-        # candidate too if supported) -> visited = all 2^n subsets.
-        supported, __ = partitioner._split_candidates()
-        assert len(partitioner.visited) == 2 ** len(supported)
+        # Every supported kernel gets a table column -> visited = all
+        # 2^n subsets.
+        assert len(partitioner.visited) == 2 ** len(partitioner.table)
 
 
 class TestHeuristics:
