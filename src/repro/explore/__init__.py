@@ -14,14 +14,15 @@ Three layers:
   annealing — see :mod:`repro.search`).
   ``WorkloadSpec.ofdm_measured()`` / ``WorkloadSpec.jpeg_measured()``
   profile the real mini-C applications under the block-compiled
-  interpreter instead of using the calibrated Table 1 statistics; pass
-  ``explore(..., profile_cache_dir=...)`` to share those profiling runs
-  across worker processes and repeat invocations via the content-keyed
-  on-disk cache (:mod:`repro.interp.cache`);
+  interpreter instead of using the calibrated Table 1 statistics; set
+  ``REPRO_PROFILE_CACHE_DIR`` to share those profiling runs across
+  worker processes and repeat invocations via the content-keyed on-disk
+  cache (:mod:`repro.interp.cache`);
 * :mod:`repro.explore.runner` — :func:`explore`, which fans the grid out
   across worker processes; each task sweeps every constraint of one
-  (workload, platform, algorithm) triple on a single partitioner so cost
-  caches and constraint-independent search state are shared;
+  (workload, platform, algorithm) triple on a single partitioner, with
+  the pair's built workload and priced table taken from the shared
+  :class:`~repro.serve.cache.PricedTableCache`;
 * :mod:`repro.explore.results` — :class:`ExplorationResult` records and
   the :class:`ExplorationReport` aggregate with DSE queries such as
   :meth:`ExplorationReport.cheapest_meeting`.

@@ -2,16 +2,15 @@
 
 Work is split at (workload, platform, algorithm) granularity so every
 grid axis fans out across worker processes, but pricing is shared at
-(workload, platform) granularity: a single
-:class:`~repro.partition.packed.PackedCostTable` is derived per pair,
-cached per worker process (per call when serial), and injected into
-every partitioner the worker builds for that pair — so the algorithm
-and constraint axes never remap a block a sibling cell already priced.
-Constraint-independent search state (the greedy move trajectory, a
-cached annealing walk) is shared across the constraints of each
-algorithm as before.  Within a worker process, built workloads are
-additionally cached by spec, so every platform the worker prices
-against the same workload reuses its DFGs.
+(workload, platform) granularity: each task resolves its pair through
+the shared :class:`~repro.serve.cache.PricedTableCache` (process-wide
+in a pool worker, call-scoped when serial) and injects the one priced
+:class:`~repro.partition.packed.PackedCostTable` into every partitioner
+it builds — so the algorithm and constraint axes never remap a block a
+sibling cell already priced, and every platform priced against the
+same workload reuses its built DFGs.  Constraint-independent search
+state (the greedy move trajectory, a cached annealing walk) is shared
+across the constraints of each algorithm.
 
 Tasks fan out over ``concurrent.futures.ProcessPoolExecutor``; with
 ``max_workers=1`` (or a single task) everything runs in-process, which is
@@ -20,97 +19,19 @@ also the automatic fallback where process pools are unavailable.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .. import telemetry
-from ..interp.cache import ProfileCache
 from ..parallel import map_tasks
-from ..partition.costs import CostModel, CostStats
+from ..partition.costs import CostStats
 from ..partition.engine import EngineConfig
-from ..partition.packed import PackedCostTable
-from ..partition.workload import ApplicationWorkload
 from ..search import make_partitioner
 from .results import ExplorationReport, ExplorationResult
-from .space import DesignSpace, ExplorationTask, PlatformSpec, WorkloadSpec
+from .space import DesignSpace, ExplorationTask
 
-#: Per-process cache of built workloads (DFG generation is the expensive
-#: part of a spec); worker processes each grow their own copy.
-_WORKLOAD_CACHE: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-#: Per-process cache of packed cost tables, keyed by the (workload,
-#: platform) pair plus the one pricing flag that changes the numbers.
-#: One pricing pass per pair serves every algorithm and constraint of
-#: every grid cell the worker executes — the tables themselves are tiny
-#: tuples of ints (they pickle in microseconds), so callers can equally
-#: ship one across processes via ``packed_table``.
-_TableKey = tuple[WorkloadSpec, PlatformSpec, bool]
-_TABLE_CACHE: dict[_TableKey, PackedCostTable] = {}
-
-
-def _cached_table(
-    task: ExplorationTask,
-    workload: ApplicationWorkload,
-    platform,
-    config: EngineConfig,
-    stats: CostStats,
-    cache: dict[_TableKey, PackedCostTable] | None = None,
-) -> PackedCostTable:
-    """Derive (or reuse) the pair's packed table; pricing work on a
-    cache miss is charged to ``stats``."""
-    if cache is None:
-        cache = _TABLE_CACHE
-    key = (
-        task.workload,
-        task.platform,
-        config.charge_single_partition_reconfig,
-    )
-    table = cache.get(key)
-    if table is None:
-        model = CostModel(
-            workload,
-            platform,
-            charge_single_partition_reconfig=(
-                config.charge_single_partition_reconfig
-            ),
-            stats=stats,
-        )
-        table = PackedCostTable.from_model(model)
-        cache[key] = table
-    return table
-
-#: Per-process profile caches keyed by on-disk directory (None = memory
-#: only).  Measured workload specs profile real programs; the
-#: content-keyed cache means each distinct (program, input) pair is
-#: interpreted at most once per process — or once per *fleet* when a
-#: shared directory is configured.
-_PROFILE_CACHES: dict[str | None, ProfileCache] = {}
-
-
-def _profile_cache(directory: str | None) -> ProfileCache:
-    cache = _PROFILE_CACHES.get(directory)
-    if cache is None:
-        cache = ProfileCache(directory=directory)
-        _PROFILE_CACHES[directory] = cache
-    return cache
-
-
-def _cached_workload(
-    spec: WorkloadSpec,
-    cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    profile_cache_dir: str | None = None,
-) -> ApplicationWorkload:
-    if cache is None:
-        cache = _WORKLOAD_CACHE
-    workload = cache.get(spec)
-    if workload is None:
-        with telemetry.span("build_workload"):
-            workload = spec.build(
-                profile_cache=_profile_cache(profile_cache_dir)
-            )
-        cache[spec] = workload
-    return workload
+if TYPE_CHECKING:
+    from ..serve.cache import PricedTableCache
 
 
 @dataclass
@@ -129,28 +50,31 @@ class _TaskOutcome:
 
 
 def _run_task(
-    task: ExplorationTask,
-    workload_cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    table_cache: dict[_TableKey, PackedCostTable] | None = None,
+    task: ExplorationTask, cache: PricedTableCache | None = None
 ) -> _TaskOutcome:
     """Execute one (workload, platform) pair's (algorithm × constraint)
     sweep.
 
-    The pair is priced once — the shared packed table is derived (or
-    fetched from the per-process cache) up front and injected into every
-    algorithm's partitioner, so the algorithm and constraint axes add
-    zero block-mapping work.
+    The pair is priced once — its packed table is resolved through
+    ``cache`` (the process-wide
+    :class:`~repro.serve.cache.PricedTableCache` by default) up front
+    and injected into every algorithm's partitioner, so the algorithm
+    and constraint axes add zero block-mapping work.
     """
-    workload = _cached_workload(
-        task.workload, workload_cache, task.profile_cache_dir
-    )
-    platform = task.platform.build()
+    from ..serve.cache import PricedTableCache
+
+    if cache is None:
+        cache = PricedTableCache.process_wide()
     config = task.engine_config or EngineConfig()
-    outcome = _TaskOutcome()
     pricing_stats = CostStats()
-    table = _cached_table(
-        task, workload, platform, config, pricing_stats, table_cache
+    workload, platform, table = cache.resolve(
+        (task.workload, task.platform),
+        charge_single_partition_reconfig=(
+            config.charge_single_partition_reconfig
+        ),
+        stats=pricing_stats,
     )
+    outcome = _TaskOutcome()
     outcome.absorb(pricing_stats)
     for algorithm in task.algorithms:
         partitioner = make_partitioner(
@@ -180,31 +104,27 @@ def explore(
     *,
     max_workers: int | None = None,
     engine_config: EngineConfig | None = None,
-    profile_cache_dir: str | None = None,
 ) -> ExplorationReport:
     """Sweep the whole design space, fanning tasks out across processes.
 
     ``max_workers=None`` sizes the pool to ``min(tasks, cpu_count)``;
     ``max_workers=1`` forces a serial in-process run.  Results come back
     in grid order (workloads × platforms × constraint fractions)
-    regardless of worker scheduling.  ``profile_cache_dir`` enables the
-    shared on-disk profile cache for measured workload specs, so worker
-    processes (and repeat invocations) never re-profile an identical
-    program.
+    regardless of worker scheduling.  Measured workload specs profile
+    through the ``REPRO_PROFILE_CACHE_DIR`` on-disk cache when it is
+    set, so worker processes (and repeat invocations) never re-profile
+    an identical program.
     """
-    tasks = space.tasks(engine_config, profile_cache_dir)
+    from ..serve.cache import PricedTableCache
+
+    tasks = space.tasks(engine_config)
     started = time.perf_counter()
-    workers = max_workers
-    if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
-    workers = max(1, workers)
 
     def run_serially(serial_tasks) -> list[_TaskOutcome]:
-        # Caches scoped to this call: the coordinating process is long
+        # A cache scoped to this call: the coordinating process is long
         # lived and must not accumulate every workload ever explored.
-        workloads: dict[WorkloadSpec, ApplicationWorkload] = {}
-        tables: dict[_TableKey, PackedCostTable] = {}
-        return [_run_task(task, workloads, tables) for task in serial_tasks]
+        cache = PricedTableCache()
+        return [_run_task(task, cache) for task in serial_tasks]
 
     # The shared fan-out contract (repro.parallel): an unusable pool or
     # a worker dying mid-grid falls back to a serial run; genuine task
@@ -212,7 +132,7 @@ def explore(
     outcomes, workers = map_tasks(
         _run_task,
         tasks,
-        workers,
+        max_workers,
         what="exploration grid",
         serial_runner=run_serially,
     )

@@ -277,24 +277,23 @@ class ExplorationTask:
 
     The grid emits one task per (workload, platform, algorithm) triple
     (singleton ``algorithms``) so the algorithm axis still fans out
-    across worker processes; the runner's per-process packed-table
-    cache keys on the (workload, platform) pair, so however the triples
+    across worker processes; the runner resolves every task through the
+    shared :class:`~repro.serve.cache.PricedTableCache`, whose table key
+    is the (workload, platform) pair plus the engine's
+    ``charge_single_partition_reconfig`` flag, so however the triples
     are scheduled, each worker prices a pair at most **once** — no grid
     cell remaps a block another cell of the same pair already priced.
     Constraint-independent search state (the greedy move trajectory, a
     cached annealing walk) is additionally shared across the
-    constraints of each algorithm.
-
-    ``profile_cache_dir`` points measured workload specs at a shared
-    on-disk profile cache so parallel workers (and later runs) profile
-    each distinct program at most once.
+    constraints of each algorithm.  Measured workload specs profile
+    through the ``REPRO_PROFILE_CACHE_DIR`` on-disk cache when it is
+    set.
     """
 
     workload: WorkloadSpec
     platform: PlatformSpec
     constraint_fractions: tuple[float, ...]
     engine_config: EngineConfig | None = None
-    profile_cache_dir: str | None = None
     algorithms: tuple[AlgorithmSpec, ...] = (AlgorithmSpec.greedy(),)
 
 
@@ -335,9 +334,7 @@ class DesignSpace:
         )
 
     def tasks(
-        self,
-        engine_config: EngineConfig | None = None,
-        profile_cache_dir: str | None = None,
+        self, engine_config: EngineConfig | None = None
     ) -> list[ExplorationTask]:
         return [
             ExplorationTask(
@@ -345,7 +342,6 @@ class DesignSpace:
                 platform=platform,
                 constraint_fractions=self.constraint_fractions,
                 engine_config=engine_config,
-                profile_cache_dir=profile_cache_dir,
                 algorithms=(algorithm,),
             )
             for workload, platform, algorithm in itertools.product(

@@ -501,7 +501,7 @@ class _MapRun:
 def map_tasks(
     fn: Callable[[_Task], _Result],
     tasks: Iterable[_Task],
-    max_workers: int,
+    max_workers: int | None = None,
     *,
     what: str = "tasks",
     serial_runner: Callable[[Sequence[_Task]], list[_Result]] | None = None,
@@ -512,7 +512,8 @@ def map_tasks(
 ) -> tuple[list[_Result], int]:
     """``[fn(t) for t in tasks]`` across worker processes, in task order.
 
-    Returns ``(results, workers_used)``.  ``max_workers <= 1`` or a
+    Returns ``(results, workers_used)``.  ``max_workers=None`` sizes the
+    pool to ``min(len(tasks), cpu_count)``; ``max_workers <= 1`` or a
     single task runs serially in-process; ``serial_runner`` overrides
     the serial path (callers use it to thread per-call caches through
     instead of repickling state per task).  An unusable pool (surfaced
@@ -535,6 +536,8 @@ def map_tasks(
     ``tasks_recovered``) in addition to telemetry.
     """
     tasks = list(tasks)
+    if max_workers is None:
+        max_workers = min(len(tasks), os.cpu_count() or 1)
     if failure_mode not in ("raise", "report"):
         raise ValueError(
             f"failure_mode must be 'raise' or 'report', got {failure_mode!r}"

@@ -56,7 +56,7 @@ from ..partition.packed import PackedCostTable
 from ..partition.result import PartitionResult
 from ..partition.workload import ApplicationWorkload
 from ..explore.space import PlatformSpec, WorkloadSpec
-from ..interp.cache import ProfileCache, default_profile_cache
+from ..interp.cache import ProfileCache
 from ..search import make_partitioner
 from ..search.base import AlgorithmSpec
 from .cache import PricedTableCache
@@ -166,11 +166,6 @@ class _JobTask:
     degrade: bool = False
 
 
-#: Per-process workload cache for pool workers (grown lazily, exactly
-#: like the suite runner's).
-_WORKER_WORKLOADS: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-
 def _partition_once(
     task: _JobTask,
     workload: ApplicationWorkload,
@@ -222,13 +217,11 @@ def _execute_task(task: _JobTask) -> tuple[str, object]:
 
     Used by pool workers (hence top-level and picklable).  The injected
     table means a worker prices nothing — ``cost_table_builds`` stays
-    with the dispatcher's cache.
+    with the dispatcher's cache; the worker only takes the built
+    workload from its process-wide cache.
     """
     try:
-        workload = _WORKER_WORKLOADS.get(task.workload)
-        if workload is None:
-            workload = task.workload.build()
-            _WORKER_WORKLOADS[task.workload] = workload
+        workload = PricedTableCache.process_wide().workload(task.workload)
         platform = task.platform.build()
     except Exception as error:  # noqa: BLE001
         return "error", f"{type(error).__name__}: {error}"
@@ -250,16 +243,15 @@ class Server:
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
-        # An explicit directory wins; otherwise honour the shared
-        # REPRO_PROFILE_CACHE_DIR hook (memory-only when unset).
-        profile_cache = (
-            ProfileCache(directory=self.config.profile_cache_dir)
-            if self.config.profile_cache_dir is not None
-            else default_profile_cache()
-        )
+        # An explicit directory wins; otherwise the cache honours the
+        # shared REPRO_PROFILE_CACHE_DIR hook (memory-only when unset).
         self.caches = PricedTableCache(
             capacity=self.config.cache_capacity,
-            profile_cache=profile_cache,
+            profile_cache=(
+                ProfileCache(directory=self.config.profile_cache_dir)
+                if self.config.profile_cache_dir is not None
+                else None
+            ),
         )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)

@@ -8,53 +8,43 @@ baseline writer, or a comparison.
 
 Scenarios fan out over ``ProcessPoolExecutor`` like exploration tasks
 do, with the same serial fallback when process pools are unavailable;
-built workloads are cached per process by spec, so scenarios sharing a
-workload (e.g. the skew axis pair) build its DFGs once, and packed cost
-tables are cached per (workload, platform) pair, so scenarios that
-differ only in algorithm or constraint fraction price their blocks
-once instead of once per scenario.
+built workloads and packed cost tables come from the shared
+:class:`~repro.serve.cache.PricedTableCache`, so scenarios sharing a
+workload (e.g. the skew axis pair) build its DFGs once, and scenarios
+that differ only in algorithm or constraint fraction price their
+(workload, platform) pair once instead of once per scenario.
 """
 
 from __future__ import annotations
 
-import os
 import time
+from typing import TYPE_CHECKING
 
 from .. import telemetry
-from ..explore.space import PlatformSpec, WorkloadSpec
 from ..parallel import map_tasks
-from ..partition.costs import CostModel
 from ..partition.engine import EngineConfig
-from ..partition.packed import PackedCostTable
-from ..partition.workload import ApplicationWorkload
 from ..search import make_partitioner
 from .fingerprint import repo_fingerprint
 from .scenarios import Scenario, default_suite
 from .store import ResultStore, ScenarioResult, SuiteRun
 
-#: Per-process workload cache (worker processes grow their own copy).
-_WORKLOAD_CACHE: dict[WorkloadSpec, ApplicationWorkload] = {}
-
-#: Per-process packed-table cache: one pricing pass per (workload,
-#: platform) pair, shared by every scenario the worker runs on it.
-_TABLE_CACHE: dict[tuple[WorkloadSpec, PlatformSpec], PackedCostTable] = {}
+if TYPE_CHECKING:
+    from ..serve.cache import PricedTableCache
 
 
 def run_scenario(
-    scenario: Scenario,
-    workload_cache: dict[WorkloadSpec, ApplicationWorkload] | None = None,
-    table_cache: (
-        dict[tuple[WorkloadSpec, PlatformSpec], PackedCostTable] | None
-    ) = None,
+    scenario: Scenario, cache: PricedTableCache | None = None
 ) -> ScenarioResult:
     """Execute one scenario.
 
     ``wall_time_seconds`` covers the partitioning search itself
     (pricing through the final result — pricing is amortized to the
-    pair's first scenario by the packed-table cache), not the cached
-    workload build.  ``configs_per_second`` is the visited-configuration
-    count over the search-only time (``run()`` on the warm substrate) —
-    the evaluation-throughput metric regressions gate on.
+    pair's first scenario by the table cache), not the cached workload
+    build.  ``configs_per_second`` is the visited-configuration count
+    over the search-only time (``run()`` on the warm substrate) — the
+    evaluation-throughput metric regressions gate on.  ``cache``
+    defaults to the process-wide
+    :class:`~repro.serve.cache.PricedTableCache`.
 
     With telemetry enabled, ``phases`` carries the per-phase seconds of
     the walled region (the scenario span's direct children, e.g.
@@ -62,16 +52,14 @@ def run_scenario(
     ``wall_time_seconds``; with telemetry off it is empty and nothing
     else changes.
     """
-    cache = _WORKLOAD_CACHE if workload_cache is None else workload_cache
-    workload = cache.get(scenario.workload)
-    if workload is None:
-        # Outside the scenario span on purpose: the build is cached and
-        # excluded from wall_time_seconds, so it must not show up in the
-        # phase breakdown that reconciles against the wall either.
-        with telemetry.span("build_workload"):
-            workload = scenario.workload.build()
-        cache[scenario.workload] = workload
-    platform = scenario.platform.build()
+    from ..serve.cache import PricedTableCache
+
+    if cache is None:
+        cache = PricedTableCache.process_wide()
+    # Outside the scenario span on purpose: the build is cached and
+    # excluded from wall_time_seconds, so it must not show up in the
+    # phase breakdown that reconciles against the wall either.
+    cache.workload(scenario.workload)
 
     # The walled region runs under one span per scenario, so its direct
     # children (price_table, search, ...) are exactly the phases the
@@ -85,14 +73,9 @@ def run_scenario(
             for name, node in scenario_span.children.items()
         }
         started = time.perf_counter()
-        tables = _TABLE_CACHE if table_cache is None else table_cache
-        table_key = (scenario.workload, scenario.platform)
-        table = tables.get(table_key)
-        if table is None:
-            table = PackedCostTable.from_model(CostModel(workload, platform))
-            tables[table_key] = table
-        else:
-            telemetry.count("cost_table_cache_hits")
+        workload, platform, table = cache.resolve(
+            (scenario.workload, scenario.platform)
+        )
         partitioner = make_partitioner(
             scenario.algorithm,
             workload,
@@ -160,6 +143,8 @@ def run_suite(
     ``max_workers=1`` forces a serial in-process run.  Results come back
     in scenario order regardless of worker scheduling.
     """
+    from ..serve.cache import PricedTableCache
+
     scenarios = default_suite() if scenarios is None else list(scenarios)
     if not scenarios:
         raise ValueError("no scenarios to run")
@@ -168,20 +153,11 @@ def run_suite(
         raise ValueError("scenario names must be unique within a run")
 
     started = time.perf_counter()
-    workers = max_workers
-    if workers is None:
-        workers = min(len(scenarios), os.cpu_count() or 1)
-    workers = max(1, workers)
 
     def run_serially(serial_scenarios) -> list[ScenarioResult]:
-        workloads: dict[WorkloadSpec, ApplicationWorkload] = {}
-        tables: dict[
-            tuple[WorkloadSpec, PlatformSpec], PackedCostTable
-        ] = {}
-        return [
-            run_scenario(scenario, workloads, tables)
-            for scenario in serial_scenarios
-        ]
+        # A cache scoped to this call, as in repro.explore.
+        cache = PricedTableCache()
+        return [run_scenario(scenario, cache) for scenario in serial_scenarios]
 
     # Same fallback contract as repro.explore, via the shared
     # repro.parallel fan-out: an unusable pool degrades to a serial
@@ -189,7 +165,7 @@ def run_suite(
     results, workers = map_tasks(
         run_scenario,
         scenarios,
-        workers,
+        max_workers,
         what="suite scenarios",
         serial_runner=run_serially,
     )

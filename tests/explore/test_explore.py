@@ -12,6 +12,7 @@ from repro.explore import (
     WorkloadSpec,
     explore,
 )
+from repro.explore.results import ExplorationResult
 from repro.explore.runner import _run_task
 from repro.partition import EngineConfig
 from repro.reporting import (
@@ -19,7 +20,8 @@ from repro.reporting import (
     write_exploration_csv,
     write_exploration_json,
 )
-from repro.search import AlgorithmSpec
+from repro.search import AlgorithmSpec, make_partitioner
+from repro.serve.cache import PricedTableCache
 
 
 @pytest.fixture(scope="module")
@@ -182,18 +184,20 @@ class TestExplore:
         assert small_report.elapsed_seconds > 0.0
 
     def test_task_prices_each_pair_once(self, small_space):
-        workloads: dict = {}
-        tables: dict = {}
-        outcome = _run_task(small_space.tasks()[0], workloads, tables)
+        cache = PricedTableCache()
+        outcome = _run_task(small_space.tasks()[0], cache)
         # One packed table priced every constraint cell of the pair, so
         # each of the 18 OFDM blocks was mapped exactly once, not once
         # per cell.
         assert outcome.blocks_mapped == 18
+        assert cache.tables.counters.misses == 1
         # Re-running the task against a warm table cache re-prices
         # nothing at all.
-        warm = _run_task(small_space.tasks()[0], workloads, tables)
+        warm = _run_task(small_space.tasks()[0], cache)
         assert warm.blocks_mapped == 0
         assert warm.results == outcome.results
+        assert cache.workloads.counters.misses == 1
+        assert cache.tables.counters.misses == 1
 
     def test_algorithm_cells_share_the_pair_table(self):
         """Different algorithms on the same (workload, platform) pair
@@ -205,12 +209,52 @@ class TestExplore:
             algorithms=(AlgorithmSpec.greedy(), AlgorithmSpec.annealing()),
         )
         greedy_task, annealing_task = space.tasks()
-        workloads: dict = {}
-        tables: dict = {}
-        first = _run_task(greedy_task, workloads, tables)
+        cache = PricedTableCache()
+        first = _run_task(greedy_task, cache)
         assert first.blocks_mapped == 18
-        second = _run_task(annealing_task, workloads, tables)
+        second = _run_task(annealing_task, cache)
         assert second.blocks_mapped == 0
+        assert cache.tables.counters.misses == 1
+
+    def test_pricing_flag_is_part_of_the_table_key(self):
+        """``charge_single_partition_reconfig`` changes the priced
+        numbers, so a shared cache must key on it: a charged run after a
+        default run of the same pair equals a direct, uncached run."""
+        platform = PlatformSpec(afpga=1500, cgc_count=2)
+        space = DesignSpace(
+            workloads=(WorkloadSpec.ofdm(),),
+            platforms=(platform,),
+            constraint_fractions=(0.5,),
+        )
+        charged = EngineConfig(charge_single_partition_reconfig=True)
+        partitioner = make_partitioner(
+            AlgorithmSpec.greedy(),
+            WorkloadSpec.ofdm().build(),
+            platform.build(),
+            config=charged,
+        )
+        direct = ExplorationResult.from_partition_result(
+            partitioner.run(
+                max(1, round(partitioner.initial_cycles() * 0.5))
+            ),
+            afpga=platform.afpga,
+            cgc_count=platform.cgc_count,
+            clock_ratio=platform.clock_ratio,
+            reconfig_cycles=platform.reconfig_cycles,
+            constraint_fraction=0.5,
+        )
+        report = explore(space, max_workers=1, engine_config=charged)
+        default = explore(space, max_workers=1)
+        assert report.results == [direct]
+        assert (
+            default.results[0].initial_cycles != direct.initial_cycles
+        )
+        # One cache serving both flags keeps two tables apart.
+        cache = PricedTableCache()
+        _run_task(space.tasks()[0], cache)
+        shared = _run_task(space.tasks(charged)[0], cache)
+        assert shared.results == [direct]
+        assert cache.tables.counters.misses == 2
 
 
 class TestAlgorithmAxis:

@@ -222,26 +222,26 @@ class TestWorkloadIntegration:
         for bb_id, freq in hot_one.items():
             assert hot_three[bb_id] == 3 * freq
 
-    def test_explore_measured_workload_uses_disk_cache(self, tmp_path):
+    def test_explore_measured_workload_uses_disk_cache(
+        self, tmp_path, monkeypatch
+    ):
         from repro.explore import (
             DesignSpace,
             PlatformSpec,
             WorkloadSpec,
             explore,
         )
+        from repro.interp.cache import PROFILE_CACHE_DIR_ENV
 
+        monkeypatch.setenv(PROFILE_CACHE_DIR_ENV, str(tmp_path))
         space = DesignSpace(
             workloads=(WorkloadSpec.ofdm_measured(symbols=1),),
             platforms=(PlatformSpec(afpga=1500, cgc_count=2),),
             constraint_fractions=(0.8,),
         )
-        first = explore(
-            space, max_workers=1, profile_cache_dir=str(tmp_path)
-        )
+        first = explore(space, max_workers=1)
         assert len(list(tmp_path.glob("*.json"))) == 1
-        second = explore(
-            space, max_workers=1, profile_cache_dir=str(tmp_path)
-        )
+        second = explore(space, max_workers=1)
         assert first.results == second.results
         result = first.results[0]
         assert result.workload == "ofdm-transmitter-measured-s1"

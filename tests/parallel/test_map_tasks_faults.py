@@ -36,7 +36,7 @@ EXPECTED = [square(task) for task in TASKS]
 def run(
     plan=None,
     *,
-    workers: int = 4,
+    workers: int | None = 4,
     policy: RetryPolicy | None = None,
     failure_mode: str = "raise",
 ):
@@ -193,7 +193,7 @@ class TestTimeouts:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, None])
     def test_results_independent_of_worker_count(self, workers):
         plan = FaultPlan.of(
             FaultSpec(task_index=1, attempt=0, kind="crash"),

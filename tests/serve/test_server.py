@@ -93,7 +93,7 @@ class TestBatching:
         trace = telemetry.get_trace()
         # SMALL built, SMALL hit, OTHER evicts SMALL, SMALL rebuilt.
         assert trace.total_counter("cost_table_builds") == 3
-        assert trace.total_counter("serve_table_cache_hits") == 1
+        assert trace.total_counter("table_cache_hits") == 1
 
     def test_worker_pool_results_match_dispatcher_thread(self):
         def run(workers):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.explore import WorkloadSpec
+from repro.serve.cache import PricedTableCache
 from repro.suite import (
     ResultStore,
     Scenario,
@@ -106,15 +107,14 @@ class TestEvaluationThroughput:
         """Two scenarios sharing a (workload, platform) pair build one
         packed table; the second run reuses it."""
         scenarios = select_scenarios(["synth-skewed", "synth-flat"])
-        workloads: dict = {}
-        tables: dict = {}
+        cache = PricedTableCache()
         for scenario in scenarios:
-            run_scenario(scenario, workloads, tables)
+            run_scenario(scenario, cache)
         # skew-axis scenarios differ in workload, so two tables; but
         # re-running adds nothing.
-        assert len(tables) == len(
-            {(s.workload, s.platform) for s in scenarios}
-        )
-        before = dict(tables)
-        run_scenario(scenarios[0], workloads, tables)
-        assert tables == before
+        pairs = len({(s.workload, s.platform) for s in scenarios})
+        assert cache.tables.counters.misses == pairs
+        assert cache.workloads.counters.misses == pairs
+        run_scenario(scenarios[0], cache)
+        assert cache.tables.counters.misses == pairs
+        assert cache.workloads.counters.misses == pairs
