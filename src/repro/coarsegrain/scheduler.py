@@ -28,8 +28,10 @@ and CGC, which makes the result directly bindable (see
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
+from .. import telemetry
 from ..ir.dfg import DataFlowGraph
 from ..ir.operations import ArrayBase, OpClass
 from .datapath import CGCDatapath
@@ -80,31 +82,45 @@ class CGCSchedule:
     # Legality checking
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Assert every resource and dependency constraint holds."""
+        """Assert every resource and dependency constraint holds.
+
+        One pass buckets the memory ports and per-CGC issue counts by
+        active cycle, then the cycles are checked in ascending order, so
+        the cost is O(ops × duration + edges) rather than a rescan of
+        every op per cycle.
+        """
         dfg, dp = self.dfg, self.datapath
         expected = {node.node_id for node in dfg.nodes}
         if set(self.ops) != expected:
             raise AssertionError("schedule does not cover every DFG node")
 
-        for cycle in range(self.makespan):
-            active = self.ops_in_cycle(cycle)
-            mem_ops = [op for op in active if op.unit == "mem"]
-            if len(mem_ops) > dp.memory_ports:
+        # cycle -> ports of the memory ops active in it
+        mem_ports: dict[int, list[int | None]] = {}
+        # cycle -> CGC index -> compute ops issued (first-seen order)
+        issued: dict[int, dict[int | None, int]] = {}
+        for op in self.ops.values():
+            active = range(op.cycle, op.cycle + max(op.duration, 1))
+            if op.unit == "mem":
+                for cycle in active:
+                    mem_ports.setdefault(cycle, []).append(op.port)
+            elif op.unit == "node":
+                for cycle in active:
+                    per_cgc = issued.setdefault(cycle, {})
+                    per_cgc[op.cgc_index] = per_cgc.get(op.cgc_index, 0) + 1
+
+        for cycle in sorted(mem_ports.keys() | issued.keys()):
+            ports_used = mem_ports.get(cycle, [])
+            if len(ports_used) > dp.memory_ports:
                 raise AssertionError(
-                    f"cycle {cycle}: {len(mem_ops)} memory ops exceed "
+                    f"cycle {cycle}: {len(ports_used)} memory ops exceed "
                     f"{dp.memory_ports} ports"
                 )
-            ports_used = [op.port for op in mem_ops]
             if len(set(ports_used)) != len(ports_used):
                 raise AssertionError(
                     f"cycle {cycle}: shared-memory port double-booked"
                 )
-            per_cgc: dict[int, int] = {}
-            for op in active:
-                if op.unit == "node":
-                    assert op.cgc_index is not None
-                    per_cgc[op.cgc_index] = per_cgc.get(op.cgc_index, 0) + 1
-            for cgc_index, used in per_cgc.items():
+            for cgc_index, used in issued.get(cycle, {}).items():
+                assert cgc_index is not None
                 capacity = dp.cgcs[cgc_index].node_count
                 if used > capacity:
                     raise AssertionError(
@@ -112,7 +128,7 @@ class CGCSchedule:
                         f"capacity {capacity}"
                     )
 
-        for src, dst in dfg.graph.edges():
+        for src, dst in dfg.edges():
             self._check_edge(src, dst)
 
     def _check_edge(self, src: int, dst: int) -> None:
@@ -164,7 +180,17 @@ def _node_heights(dfg: DataFlowGraph) -> dict[int, int]:
 
 
 class ListScheduler:
-    """List scheduling with chain-aware per-CGC slot allocation."""
+    """Ready-list scheduling with chain-aware per-CGC slot allocation.
+
+    A node enters the ready heap, keyed on ``(-height, node_id)``, once
+    its last predecessor is placed.  Each cycle pops the heap in key
+    order: a node that places releases its successors into the same
+    cycle's heap (their keys sort after its own, so same-cycle chaining
+    sees them in priority order), and a node that does not place waits
+    for the next cycle.  A failed attempt changes nothing, and free slots
+    and ports only shrink within a cycle, so retrying it in the same
+    cycle could never succeed.
+    """
 
     def __init__(self, dfg: DataFlowGraph, datapath: CGCDatapath):
         self.dfg = dfg
@@ -173,72 +199,71 @@ class ListScheduler:
         self.heights = _node_heights(dfg)
 
     def schedule(self) -> CGCSchedule:
-        result = CGCSchedule(self.dfg, self.datapath)
-        remaining = {node.node_id for node in self.dfg.nodes}
+        dfg, datapath = self.dfg, self.datapath
+        result = CGCSchedule(dfg, datapath)
+        ops = result.ops
+        succs, heights = dfg.succs, self.heights
+        unplaced_preds = [len(preds) for preds in dfg.preds]
+        ready = [
+            (-heights[node_id], node_id)
+            for node_id, count in enumerate(unplaced_preds)
+            if count == 0
+        ]
+        heapq.heapify(ready)
+        capacities = [cgc.node_count for cgc in datapath.cgcs]
         # busy-until time of each shared-memory port
-        port_free_at = [0] * self.datapath.memory_ports
+        port_free_at = [0] * datapath.memory_ports
+        remaining = len(dfg)
         cycle = 0
         # Guard: any DAG schedules within |V| · latency cycles.
-        max_cycles = (2 + self.datapath.memory_latency) * (len(self.dfg) + 8)
+        max_cycles = (2 + datapath.memory_latency) * (len(dfg) + 8)
         while remaining:
             if cycle > max_cycles:
                 raise RuntimeError(
                     "scheduler failed to converge — internal error"
                 )
-            self._schedule_cycle(cycle, remaining, result, port_free_at)
-            cycle += 1
-        return result
-
-    # ------------------------------------------------------------------
-    def _schedule_cycle(
-        self,
-        cycle: int,
-        remaining: set[int],
-        result: CGCSchedule,
-        port_free_at: list[int],
-    ) -> None:
-        free_slots = {
-            index: cgc.node_count for index, cgc in enumerate(self.datapath.cgcs)
-        }
-        progressed = True
-        while progressed:
-            progressed = False
-            candidates = sorted(
-                remaining,
-                key=lambda n: (-self.heights[n], n),
-            )
-            for node_id in candidates:
+            free_slots = capacities.copy()
+            waiting: list[tuple[int, int]] = []
+            while ready:
+                key = heapq.heappop(ready)
+                node_id = key[1]
                 placement = self._try_place(
-                    node_id, cycle, free_slots, port_free_at, result
+                    node_id, cycle, free_slots, port_free_at, ops
                 )
                 if placement is None:
+                    waiting.append(key)
                     continue
-                result.ops[node_id] = placement
-                remaining.discard(node_id)
+                ops[node_id] = placement
+                remaining -= 1
                 if placement.unit == "mem":
                     assert placement.port is not None
                     port_free_at[placement.port] = placement.end
                 elif placement.unit == "node":
                     assert placement.cgc_index is not None
                     free_slots[placement.cgc_index] -= 1
-                progressed = True
+                for succ in succs[node_id]:
+                    unplaced_preds[succ] -= 1
+                    if unplaced_preds[succ] == 0:
+                        heapq.heappush(ready, (-heights[succ], succ))
+            heapq.heapify(waiting)
+            ready = waiting
+            cycle += 1
+        return result
 
+    # ------------------------------------------------------------------
     def _try_place(
         self,
         node_id: int,
         cycle: int,
-        free_slots: dict[int, int],
+        free_slots: list[int],
         port_free_at: list[int],
-        result: CGCSchedule,
+        ops: dict[int, ScheduledOp],
     ) -> ScheduledOp | None:
-        node = self.dfg.node(node_id)
+        node = self.dfg.nodes[node_id]
         op_class = node.op_class
-        preds = self.dfg.predecessors(node_id)
         in_cycle_preds: list[ScheduledOp] = []
-        for pred in preds:
-            placed = result.ops.get(pred)
-            if placed is None:
-                return None  # dependency not yet scheduled at all
+        for pred in self.dfg.preds[node_id]:
+            placed = ops[pred]  # the ready list only offers placed inputs
             if placed.cycle == cycle and placed.unit in ("node", "move"):
                 in_cycle_preds.append(placed)
             elif placed.end > cycle:
@@ -296,7 +321,7 @@ class ListScheduler:
         # Start of a new chain: pick the CGC with the most free slots that
         # satisfies the depth limit.
         best: int | None = None
-        for index, slots in free_slots.items():
+        for index, slots in enumerate(free_slots):
             if slots <= 0:
                 continue
             if depth > self.datapath.cgcs[index].chain_depth:
@@ -310,6 +335,8 @@ class ListScheduler:
 
 def schedule_dfg(dfg: DataFlowGraph, datapath: CGCDatapath) -> CGCSchedule:
     """Schedule one DFG and return the validated schedule."""
-    schedule = ListScheduler(dfg, datapath).schedule()
-    schedule.validate()
+    with telemetry.span("cgc_schedule"):
+        schedule = ListScheduler(dfg, datapath).schedule()
+    with telemetry.span("schedule_validate"):
+        schedule.validate()
     return schedule

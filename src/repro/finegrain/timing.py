@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import telemetry
 from ..ir.dfg import DataFlowGraph
 from ..platform.characterization import HardwareCharacterization
 from .device import FPGADevice
@@ -76,8 +77,9 @@ def block_fpga_timing(
     charge_single_partition: bool = False,
 ) -> FineGrainBlockTiming:
     """Map one block (Figure 3) and price it (Eq. 4 inner term)."""
-    partitioning = partition_dfg(dfg, device.usable_area, characterization)
-    per_partition = partition_execution_cycles(partitioning, characterization)
+    with telemetry.span("fpga_temporal"):
+        partitioning = partition_dfg(dfg, device.usable_area, characterization)
+        per_partition = partition_execution_cycles(partitioning, characterization)
     compute = sum(per_partition)
     count = partitioning.partition_count
     if count > 1 or charge_single_partition:

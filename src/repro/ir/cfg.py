@@ -2,19 +2,22 @@
 
 One :class:`ControlFlowGraph` per function.  Provides the traversals the
 rest of the pipeline relies on (reverse post-order for dataflow, reachable
-sets for cleanup) plus a NetworkX export for analyses and debugging.
+sets for cleanup) plus an optional NetworkX export for analyses and
+debugging.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..frontend.ast_nodes import ArrayType, Type
 from .basicblock import BasicBlock
 from .operations import Opcode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -148,7 +151,12 @@ class ControlFlowGraph:
         return order
 
     def to_networkx(self) -> "nx.DiGraph":
-        """Export the CFG as a NetworkX DiGraph (nodes = labels)."""
+        """Export the CFG as a NetworkX DiGraph (nodes = labels).
+
+        Needs the optional networkx package (part of the ``test`` extra).
+        """
+        import networkx as nx
+
         graph = nx.DiGraph(function=self.function_name)
         for label, block in self.blocks.items():
             graph.add_node(label, size=len(block), bb_id=block.bb_id)

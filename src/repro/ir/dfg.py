@@ -12,10 +12,10 @@ considered for parallel execution without any dependency check" (§3.2).
 
 from __future__ import annotations
 
+import graphlib
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .basicblock import BasicBlock
 from .operations import (
@@ -26,6 +26,9 @@ from .operations import (
     Temp,
     VarRef,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,20 @@ class DFGNode:
 
 
 class DataFlowGraph:
-    """Dependency DAG over the body (non-terminator) ops of one block."""
+    """Dependency DAG over the body (non-terminator) ops of one block.
+
+    Edges are stored as plain adjacency: ``preds[n]``/``succs[n]`` are
+    tuples of node ids in edge-insertion order, and ``edge_kinds`` maps
+    each ``(src, dst)`` to ``"data"`` or ``"mem"`` (the last kind added
+    wins when both dependencies hold).
+    """
 
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
         self.nodes: list[DFGNode] = []
-        self.graph = nx.DiGraph()
+        self.edge_kinds: dict[tuple[int, int], str] = {}
+        self.preds: tuple[tuple[int, ...], ...] = ()
+        self.succs: tuple[tuple[int, ...], ...] = ()
         self.live_in_scalars: set[str] = set()
         self.live_out_scalars: set[str] = set()
         self.arrays_read: set[str] = set()
@@ -68,8 +79,6 @@ class DataFlowGraph:
     def _build(self) -> None:
         body = self.block.body
         self.nodes = [DFGNode(i, ins) for i, ins in enumerate(body)]
-        for node in self.nodes:
-            self.graph.add_node(node.node_id)
 
         temp_def: dict[Temp, int] = {}
         var_def: dict[str, int] = {}
@@ -143,10 +152,18 @@ class DataFlowGraph:
                 if isinstance(operand, VarRef) and operand.name not in var_def:
                     self.live_in_scalars.add(operand.name)
 
+        preds: list[list[int]] = [[] for _ in self.nodes]
+        succs: list[list[int]] = [[] for _ in self.nodes]
+        for src, dst in self.edge_kinds:
+            succs[src].append(dst)
+            preds[dst].append(src)
+        self.preds = tuple(map(tuple, preds))
+        self.succs = tuple(map(tuple, succs))
+
     def _add_edge(self, src: int, dst: int, kind: str) -> None:
         if src == dst:
             return
-        self.graph.add_edge(src, dst, kind=kind)
+        self.edge_kinds[(src, dst)] = kind
 
     # ------------------------------------------------------------------
     # Queries
@@ -160,14 +177,28 @@ class DataFlowGraph:
     def __iter__(self) -> Iterator[DFGNode]:
         return iter(self.nodes)
 
-    def predecessors(self, node_id: int) -> list[int]:
-        return list(self.graph.predecessors(node_id))
+    def predecessors(self, node_id: int) -> tuple[int, ...]:
+        return self.preds[node_id]
 
-    def successors(self, node_id: int) -> list[int]:
-        return list(self.graph.successors(node_id))
+    def successors(self, node_id: int) -> tuple[int, ...]:
+        return self.succs[node_id]
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        return (src, dst) in self.edge_kinds
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge, grouped by source node in node order."""
+        return [
+            (src, dst) for src, succs in enumerate(self.succs) for dst in succs
+        ]
 
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+        sorter = graphlib.TopologicalSorter(dict(enumerate(self.preds)))
+        try:
+            sorter.prepare()
+        except graphlib.CycleError:
+            return False
+        return True
 
     def topological_order(self) -> list[int]:
         # Node ids follow instruction order, which is already a valid
@@ -260,8 +291,13 @@ class DataFlowGraph:
         """
         return len(self.live_in_scalars) + len(self.live_out_scalars)
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A labelled copy of the dependency graph for external tooling."""
+    def to_networkx(self) -> "nx.DiGraph":
+        """A labelled copy of the dependency graph for external tooling.
+
+        Needs the optional networkx package (part of the ``test`` extra).
+        """
+        import networkx as nx
+
         graph = nx.DiGraph(block=self.block.label)
         for node in self.nodes:
             graph.add_node(
@@ -269,7 +305,8 @@ class DataFlowGraph:
                 opcode=node.opcode.mnemonic,
                 op_class=node.op_class.value,
             )
-        graph.add_edges_from(self.graph.edges(data=True))
+        for (src, dst), kind in self.edge_kinds.items():
+            graph.add_edge(src, dst, kind=kind)
         return graph
 
 

@@ -35,7 +35,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_var_def_use_edge(self):
         block = block_of(
@@ -45,7 +45,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_live_in_scalar_detected(self):
         block = block_of(
@@ -70,7 +70,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_load_store_war_edge(self):
         a = ArrayBase("a", Type.INT)
@@ -81,7 +81,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_store_store_waw_edge(self):
         a = ArrayBase("a", Type.INT)
@@ -92,7 +92,7 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert dfg.graph.has_edge(0, 1)
+        assert dfg.has_edge(0, 1)
 
     def test_different_arrays_independent(self):
         a, b = ArrayBase("a", Type.INT), ArrayBase("b", Type.INT)
@@ -103,11 +103,23 @@ class TestEdges:
             ]
         )
         dfg = DataFlowGraph(block)
-        assert not dfg.graph.has_edge(0, 1)
+        assert not dfg.has_edge(0, 1)
 
     def test_acyclic(self, sample_cdfg):
         for key in sample_cdfg.all_block_keys():
             assert sample_cdfg.dfg(key).is_acyclic()
+
+    def test_cycle_detected(self):
+        block = block_of(
+            [
+                Instruction(Opcode.ADD, dest=t(0), operands=(Const(1), Const(2))),
+                Instruction(Opcode.MUL, dest=t(1), operands=(t(0), Const(3))),
+            ]
+        )
+        dfg = DataFlowGraph(block)
+        assert dfg.edges() == [(0, 1)]
+        dfg.preds = ((1,), (0,))  # a back edge 1->0 the builder never makes
+        assert not dfg.is_acyclic()
 
 
 class TestLevels:

@@ -1,14 +1,20 @@
-"""Test-only Eq. 2 oracle.
+"""Test-only oracles.
 
-Prices kernel subsets straight from the per-block timing models, with
-no code from the production pricing path (``repro.partition.costs``,
-``packed``, ``trajectory`` or ``repro.search``), and runs the Figure 2
-greedy loop and a brute-force optimum on those prices.
+* Eq. 2: prices kernel subsets straight from the per-block timing
+  models, with no code from the production pricing path
+  (``repro.partition.costs``, ``packed``, ``trajectory`` or
+  ``repro.search``), and runs the Figure 2 greedy loop and a brute-force
+  optimum on those prices.
+* CGC list scheduling: :func:`oracle_schedule` is the straightforward
+  pass-per-cycle list scheduler, sharing no code with
+  ``repro.coarsegrain.scheduler``; the production ready-list scheduler
+  must reproduce its placements exactly.
 """
 
 from itertools import combinations
 
 from repro.analysis.weights import WeightModel
+from repro.ir.operations import ArrayBase, OpClass
 from repro.coarsegrain.timing import block_cgc_timing
 from repro.finegrain.timing import block_fpga_timing
 from repro.partition.comm import kernel_communication
@@ -110,3 +116,93 @@ def brute_force(workload, platform, budget=None):
 
     subsets = (s for n in sizes for s in combinations(kernels, n))
     return min(subsets, key=key)
+
+
+def oracle_schedule(dfg, datapath):
+    """node_id -> (cycle, chain_depth, cgc_index, unit, duration, port).
+
+    Every cycle re-sorts the unscheduled nodes by (-height, node_id) and
+    sweeps them in that order, placing each node whose inputs are ready
+    and whose resources are free; sweeps repeat until one places nothing.
+    Same model as the production scheduler: unit-delay CGC nodes with
+    in-CGC chaining up to the chain depth, non-pipelined memory ports,
+    free MOVE/COPY wires.
+    """
+    heights = {}
+    for node in reversed(dfg.nodes):
+        own = 0 if node.op_class is OpClass.MOVE else 1
+        below = [heights[s] for s in dfg.successors(node.node_id)]
+        heights[node.node_id] = own + max(below, default=0)
+
+    ops = {}  # node_id -> (cycle, depth, cgc, unit, duration, port)
+    remaining = {node.node_id for node in dfg.nodes}
+    port_free_at = [0] * datapath.memory_ports
+    cycle = 0
+    while remaining:
+        assert cycle <= (2 + datapath.memory_latency) * (len(dfg) + 8)
+        free_slots = [cgc.node_count for cgc in datapath.cgcs]
+        progressed = True
+        while progressed:
+            progressed = False
+            for node_id in sorted(remaining, key=lambda n: (-heights[n], n)):
+                placed = _oracle_place(
+                    dfg, datapath, node_id, cycle, free_slots, port_free_at, ops
+                )
+                if placed is None:
+                    continue
+                ops[node_id] = placed
+                remaining.discard(node_id)
+                _, _, cgc, unit, duration, port = placed
+                if unit == "mem":
+                    port_free_at[port] = cycle + duration
+                elif unit == "node":
+                    free_slots[cgc] -= 1
+                progressed = True
+        cycle += 1
+    return ops
+
+
+def _oracle_place(dfg, datapath, node_id, cycle, free_slots, port_free_at, ops):
+    node = dfg.node(node_id)
+    in_cycle = []  # (depth, cgc) of same-cycle node/move producers
+    for pred in dfg.predecessors(node_id):
+        if pred not in ops:
+            return None
+        p_cycle, p_depth, p_cgc, p_unit, p_duration, _ = ops[pred]
+        if p_cycle == cycle and p_unit in ("node", "move"):
+            in_cycle.append((p_depth, p_cgc))
+        elif p_cycle + p_duration > cycle:
+            return None
+    chained = max((depth for depth, _ in in_cycle), default=0)
+    cgcs = {cgc for _, cgc in in_cycle if cgc is not None}
+    if node.op_class is OpClass.MOVE:
+        if len(cgcs) > 1:
+            return None
+        return (cycle, chained, cgcs.pop() if cgcs else None, "move", 0, None)
+    if node.op_class is OpClass.MEM:
+        if in_cycle:
+            return None
+        base = node.instruction.operands[0]
+        local = isinstance(base, ArrayBase) and base.local
+        duration = 1 if local else datapath.memory_latency
+        for port, free_at in enumerate(port_free_at):
+            if free_at <= cycle:
+                return (cycle, 0, None, "mem", duration, port)
+        return None
+    depth = chained + 1
+    if len(cgcs) > 1:
+        return None
+    if cgcs:
+        cgc = cgcs.pop()
+        if free_slots[cgc] <= 0 or depth > datapath.cgcs[cgc].chain_depth:
+            return None
+        return (cycle, depth, cgc, "node", 1, None)
+    best = None
+    for index, slots in enumerate(free_slots):
+        if slots <= 0 or depth > datapath.cgcs[index].chain_depth:
+            continue
+        if best is None or slots > free_slots[best]:
+            best = index
+    if best is None:
+        return None
+    return (cycle, depth, best, "node", 1, None)
