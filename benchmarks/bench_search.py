@@ -20,9 +20,12 @@ as the test oracle's brute force — identical ``final_cycles``,
 
 Timing methodology: pricing (block mapping) is warmed before the timer
 starts — ``initial_cycles()`` prices every block — so configs/second
-measures configuration *evaluation*, not DFG scheduling; each
-measurement is the best of ``REPEATS`` fresh partitioners sharing one
-injected table, which is exactly how the explore/suite layers run.
+measures configuration *evaluation*, not DFG scheduling.  Each row
+times fresh partitioners sharing one injected table (exactly how the
+explore/suite layers run) until their summed search time reaches
+``MIN_TIMED_SECONDS``, and reports summed visits ÷ summed seconds: a
+sub-millisecond search of a dozen visits is repeated enough times that
+one descheduled run cannot swing the row.
 The oracle is imported from ``tests/``, so run the benches from the
 repo root with ``python -m pytest``.
 """
@@ -49,7 +52,8 @@ from tests.oracle import brute_force, price_subset, rows_used
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
 
-REPEATS = 3
+#: Summed search seconds each row is timed for.
+MIN_TIMED_SECONDS = 0.05
 
 SPECS = (
     AlgorithmSpec.greedy(),
@@ -124,15 +128,16 @@ SCENARIOS = {
 
 
 def _measure(spec, workload, platform, config_kwargs, table):
-    """(partitioner after one run, best-of-REPEATS search seconds).
+    """(partitioner after one run, timed runs, summed search seconds).
 
     Pricing is excluded: the injected table is priced before the timer
     starts; each repeat uses a fresh partitioner so no repeat replays
-    another's cached search.
+    another's cached search.  Runs repeat until the summed search time
+    reaches ``MIN_TIMED_SECONDS``.
     """
-    best_seconds = None
-    partitioner = None
-    for _ in range(REPEATS):
+    runs = 0
+    seconds = 0.0
+    while seconds < MIN_TIMED_SECONDS:
         partitioner = make_partitioner(
             spec,
             workload,
@@ -143,16 +148,15 @@ def _measure(spec, workload, platform, config_kwargs, table):
         partitioner.initial_cycles()
         started = time.perf_counter()
         partitioner.run(1)  # unreachable: minimize outright
-        elapsed = time.perf_counter() - started
-        if best_seconds is None or elapsed < best_seconds:
-            best_seconds = elapsed
-    return partitioner, best_seconds
+        seconds += time.perf_counter() - started
+        runs += 1
+    return partitioner, runs, seconds
 
 
-def _configs_per_second(partitioner, seconds):
-    if not seconds:
-        return None
-    return round(partitioner.visited_count / seconds)
+def _configs_per_second(partitioner, runs, seconds):
+    """Summed visits ÷ summed seconds (every run visits the same
+    configurations: fresh partitioners, deterministic search)."""
+    return round(partitioner.visited_count * runs / seconds)
 
 
 def _run_scenario(workload, budget):
@@ -162,7 +166,7 @@ def _run_scenario(workload, budget):
     rows = {}
     fronts = []
     for spec in SPECS:
-        packed, packed_seconds = _measure(
+        packed, runs, packed_seconds = _measure(
             spec, workload, platform, config_kwargs, table
         )
         result = packed.run(1)
@@ -180,8 +184,11 @@ def _run_scenario(workload, budget):
             "reduction_percent": round(result.reduction_percent, 2),
             "visited_configurations": packed.visited_count,
             "pareto_front_size": len(front),
-            "seconds": round(packed_seconds, 6),
-            "configs_per_second": _configs_per_second(packed, packed_seconds),
+            "seconds": round(packed_seconds / runs, 6),
+            "timed_runs": runs,
+            "configs_per_second": _configs_per_second(
+                packed, runs, packed_seconds
+            ),
         }
     combined = front_of_results(fronts)
     return {
@@ -203,7 +210,7 @@ def _run_throughput_scenario():
     table = PackedCostTable.from_model(CostModel(workload, platform))
     spec = AlgorithmSpec.exhaustive(max_candidates=20)
     config_kwargs = dict(stop_at_constraint=False)
-    packed, packed_seconds = _measure(
+    packed, runs, packed_seconds = _measure(
         spec, workload, platform, config_kwargs, table
     )
     packed_result = packed.run(1)
@@ -236,9 +243,10 @@ def _run_throughput_scenario():
         "final_cycles": packed_result.final_cycles,
         "moved_bb_ids": list(packed_result.moved_bb_ids),
         "pareto_front_size": len(packed_front),
-        "packed_seconds": round(packed_seconds, 6),
+        "packed_seconds": round(packed_seconds / runs, 6),
+        "timed_runs": runs,
         "packed_configs_per_second": _configs_per_second(
-            packed, packed_seconds
+            packed, runs, packed_seconds
         ),
     }
 

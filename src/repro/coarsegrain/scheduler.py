@@ -186,10 +186,19 @@ class ListScheduler:
     its last predecessor is placed.  Each cycle pops the heap in key
     order: a node that places releases its successors into the same
     cycle's heap (their keys sort after its own, so same-cycle chaining
-    sees them in priority order), and a node that does not place waits
-    for the next cycle.  A failed attempt changes nothing, and free slots
-    and ports only shrink within a cycle, so retrying it in the same
-    cycle could never succeed.
+    sees them in priority order), and a node that does not place is
+    parked in a wake bucket until its *wake cycle*.  When no bucket is
+    due in the next cycle, time jumps to the earliest wake cycle.
+
+    The wake cycle is a lower bound on the node's next feasible cycle:
+    the cycle after the failed attempt, the latest ``end`` of its
+    (all placed) predecessors, and for a memory op the earliest time a
+    shared-memory port frees up.  Placed ops never move and port
+    free times only grow, so the bound stays valid while the node
+    waits; every attempt it skips would have failed, and a failed
+    attempt changes nothing.  Placements are therefore exactly those
+    of retrying every waiting node every cycle, in the same
+    ``(-height, node_id)`` order within a cycle.
     """
 
     def __init__(self, dfg: DataFlowGraph, datapath: CGCDatapath):
@@ -202,8 +211,9 @@ class ListScheduler:
         dfg, datapath = self.dfg, self.datapath
         result = CGCSchedule(dfg, datapath)
         ops = result.ops
-        succs, heights = dfg.succs, self.heights
-        unplaced_preds = [len(preds) for preds in dfg.preds]
+        preds, succs, heights = dfg.preds, dfg.succs, self.heights
+        nodes = dfg.nodes
+        unplaced_preds = [len(node_preds) for node_preds in preds]
         ready = [
             (-heights[node_id], node_id)
             for node_id, count in enumerate(unplaced_preds)
@@ -213,6 +223,9 @@ class ListScheduler:
         capacities = [cgc.node_count for cgc in datapath.cgcs]
         # busy-until time of each shared-memory port
         port_free_at = [0] * datapath.memory_ports
+        # wake cycle -> keys of the nodes parked until then
+        wake: dict[int, list[tuple[int, int]]] = {}
+        wake_cycles: list[int] = []  # heap of the keys of ``wake``
         remaining = len(dfg)
         cycle = 0
         # Guard: any DAG schedules within |V| · latency cycles.
@@ -223,7 +236,6 @@ class ListScheduler:
                     "scheduler failed to converge — internal error"
                 )
             free_slots = capacities.copy()
-            waiting: list[tuple[int, int]] = []
             while ready:
                 key = heapq.heappop(ready)
                 node_id = key[1]
@@ -231,7 +243,19 @@ class ListScheduler:
                     node_id, cycle, free_slots, port_free_at, ops
                 )
                 if placement is None:
-                    waiting.append(key)
+                    wake_at = cycle + 1
+                    for pred in preds[node_id]:
+                        end = ops[pred].end
+                        if end > wake_at:
+                            wake_at = end
+                    if nodes[node_id].op_class is OpClass.MEM:
+                        wake_at = max(wake_at, min(port_free_at))
+                    parked = wake.get(wake_at)
+                    if parked is None:
+                        wake[wake_at] = [key]
+                        heapq.heappush(wake_cycles, wake_at)
+                    else:
+                        parked.append(key)
                     continue
                 ops[node_id] = placement
                 remaining -= 1
@@ -245,9 +269,12 @@ class ListScheduler:
                     unplaced_preds[succ] -= 1
                     if unplaced_preds[succ] == 0:
                         heapq.heappush(ready, (-heights[succ], succ))
-            heapq.heapify(waiting)
-            ready = waiting
-            cycle += 1
+            if remaining:
+                # Some node still waits (the DFG is acyclic), so a
+                # wake bucket is due.
+                cycle = heapq.heappop(wake_cycles)
+                ready = wake.pop(cycle)
+                heapq.heapify(ready)
         return result
 
     # ------------------------------------------------------------------

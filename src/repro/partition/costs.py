@@ -3,12 +3,19 @@
 Eq. 2 of the paper is a sum of independent per-block terms, so any
 hardware/software split is priced by three running totals — FPGA, CGC and
 communication ticks — and a kernel move changes them by exactly that
-block's contribution.  :class:`CostModel` prices blocks on both fabrics
-(Figure 3 temporal partitioning, the CGC list scheduler, the t_comm
-model) and caches the per-block :class:`BlockContribution` terms;
+block's contribution.  :class:`CostModel` prices blocks (Figure 3
+temporal partitioning, the CGC list scheduler, the t_comm model) and
+caches the per-block :class:`BlockContribution` terms;
 :meth:`~repro.partition.packed.PackedCostTable.from_model` packs the
 kernels' terms into the table that the engine and every
 :mod:`repro.search` algorithm run on.
+
+Only what Eq. 2 reads is priced.  A block that is not an Eq. 1 kernel
+candidate never moves, so it adds only its t_FPGA term: the all-FPGA
+total (:meth:`CostModel.initial_ticks`) needs the FPGA timing alone, and
+the CGC schedule and t_comm of a block are computed only when its
+contribution is asked for — which the table does for kernel candidates
+only.
 
 Timebase: everything is accumulated in CGC ticks
 (``1 FPGA cycle = clock_ratio ticks``) so arithmetic stays integral;
@@ -65,13 +72,21 @@ class CostStats:
     #: :meth:`CostModel.contribution` call) — how often the aggregation
     #: layer consulted the model.
     contribution_lookups: int = 0
-    #: Blocks actually mapped onto both fabrics (cache misses).
+    #: Blocks actually priced (cache misses), each counted once when
+    #: its FPGA timing is first computed.  Non-candidate blocks are
+    #: priced on the FPGA only; a block is also scheduled on the CGC
+    #: (and its t_comm priced) only once its contribution is asked for.
     blocks_mapped: int = 0
 
 
 @dataclass
 class BlockCosts:
-    """Cached per-block mapping results (both fabrics + communication)."""
+    """Cached per-block mapping results of a block whose contribution
+    was asked for: both fabrics + communication.
+
+    Blocks that only enter the all-FPGA total never get one; their
+    FPGA timing is cached on its own (:meth:`CostModel.fpga_timing`).
+    """
 
     fine: FineGrainBlockTiming
     coarse: CoarseGrainBlockTiming | None
@@ -115,6 +130,7 @@ class CostModel:
         self.platform = platform
         self.charge_single_partition_reconfig = charge_single_partition_reconfig
         self.stats = stats if stats is not None else CostStats()
+        self._fine: dict[int, FineGrainBlockTiming] = {}
         self._costs: dict[int, BlockCosts] = {}
         self._contribs: dict[int, BlockContribution] = {}
         self._initial_ticks: int | None = None
@@ -122,8 +138,9 @@ class CostModel:
     # ------------------------------------------------------------------
     # Per-block mapping (steps 2 and 5 of Figure 2)
     # ------------------------------------------------------------------
-    def block_costs(self, block: BlockWorkload) -> BlockCosts:
-        cached = self._costs.get(block.bb_id)
+    def fpga_timing(self, block: BlockWorkload) -> FineGrainBlockTiming:
+        """The block's Figure 3 temporal partitioning timing (cached)."""
+        cached = self._fine.get(block.bb_id)
         if cached is not None:
             return cached
         self.stats.blocks_mapped += 1
@@ -133,6 +150,15 @@ class CostModel:
             self.platform.characterization,
             charge_single_partition=self.charge_single_partition_reconfig,
         )
+        self._fine[block.bb_id] = fine
+        return fine
+
+    def block_costs(self, block: BlockWorkload) -> BlockCosts:
+        """The block on both fabrics plus its t_comm (cached)."""
+        cached = self._costs.get(block.bb_id)
+        if cached is not None:
+            return cached
+        fine = self.fpga_timing(block)
         coarse: CoarseGrainBlockTiming | None = None
         if self.platform.datapath.supports_dfg(block.dfg):
             coarse = block_cgc_timing(block.dfg, self.platform.datapath)
@@ -159,7 +185,7 @@ class CostModel:
         ratio = self.platform.clock_ratio
         costs = self.block_costs(block)
         contribution = BlockContribution(
-            fpga_ticks=costs.fine.total_cycles * block.exec_freq * ratio,
+            fpga_ticks=self._fpga_ticks(block),
             cgc_ticks=(
                 costs.coarse.cgc_cycles * block.exec_freq
                 if costs.coarse is not None
@@ -177,15 +203,20 @@ class CostModel:
     def initial_ticks(self) -> int:
         """The all-FPGA Eq. 2 total, cached after the first computation."""
         if self._initial_ticks is None:
-            # The first all-FPGA pricing pass walks (and caches) every
-            # block's contribution — the expensive part of deriving a
-            # table, hence its own nested phase.
+            # The first all-FPGA pricing pass maps (and caches) every
+            # block on the FPGA — the expensive part of deriving a table
+            # after the kernels' CGC schedules, hence its own nested
+            # phase.  No block moves here, so none is CGC-scheduled.
             with telemetry.span("price_blocks"):
                 self._initial_ticks = sum(
-                    self.contribution(block).fpga_ticks
-                    for block in self.workload.blocks
+                    self._fpga_ticks(block) for block in self.workload.blocks
                 )
         return self._initial_ticks
+
+    def _fpga_ticks(self, block: BlockWorkload) -> int:
+        """The block's t_FPGA share of Eq. 2, in ticks."""
+        fine = self.fpga_timing(block)
+        return fine.total_cycles * block.exec_freq * self.platform.clock_ratio
 
     def kernel_candidates(
         self, weight_model: WeightModel | None = None

@@ -107,6 +107,9 @@ class AnnealingPartitioner(Partitioner):
         bb_ids_of = table.bb_ids_of
         index_of = table.index_of
         n_bits = n.bit_length()
+        # mask -> its moved kernel indices in BB-id order (swap proposals
+        # pick the ``out``-th of them; the walk revisits few masks).
+        moved_in_id_order: dict[int, tuple[int, ...]] = {}
         for _level in range(self.temp_levels):
             # Deadline poll per temperature level (a visit batch): an
             # expired budget keeps the best-so-far, never mid-level.
@@ -132,7 +135,12 @@ class AnnealingPartitioner(Partitioner):
                     out = getrandbits(count.bit_length())
                     while out >= count:
                         out = getrandbits(count.bit_length())
-                    out_index = index_of(bb_ids_of(mask)[out])
+                    moved = moved_in_id_order.get(mask)
+                    if moved is None:
+                        moved = moved_in_id_order[mask] = tuple(
+                            map(index_of, bb_ids_of(mask))
+                        )
+                    out_index = moved[out]
                     delta = deltas[index] - deltas[out_index]
                     if delta <= 0 or uniform() < exp(-delta / temperature):
                         total += delta

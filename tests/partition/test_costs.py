@@ -2,12 +2,15 @@
 freeze-after-run contract of the engine facade."""
 
 import pytest
+from oracle import block_terms, price_subset
 
 from repro.partition import (
     CostModel,
     EngineConfig,
+    PackedCostTable,
     PartitioningEngine,
 )
+from repro.partition import costs
 from repro.partition.costs import (
     ceil_ticks_to_cycles,
     split_ticks_single_rounding,
@@ -74,6 +77,77 @@ class TestCostModel:
             if model.contribution(b).supported
         ]
         assert rows and all(r >= 1 for r in rows)
+
+
+@pytest.fixture(scope="module")
+def synthetic_200():
+    return synthetic_application(200, seed=0)
+
+
+class TestPricingOnlyKernelWork:
+    """Non-candidate blocks never move, so a table prices them on the
+    FPGA only: no CGC schedule and no t_comm outside the Eq. 1 kernel
+    candidates."""
+
+    @pytest.mark.parametrize("name", ["synthetic_200", "ofdm"])
+    def test_table_schedules_only_candidates(
+        self, name, request, monkeypatch
+    ):
+        workload = request.getfixturevalue(name)
+        platform = paper_platform(1500, 2)
+        calls = {"cgc": 0, "comm": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            costs, "block_cgc_timing", counted("cgc", costs.block_cgc_timing)
+        )
+        monkeypatch.setattr(
+            costs,
+            "kernel_communication",
+            counted("comm", costs.kernel_communication),
+        )
+        model = CostModel(workload, platform)
+        table = PackedCostTable.from_model(model)
+        assert calls["cgc"] == len(table.bb_ids)
+        assert calls["comm"] == len(table.candidates)
+        # Every block is still priced once, on the FPGA at least.
+        assert model.stats.blocks_mapped == len(workload.blocks)
+
+        assert table.initial_ticks == sum(
+            terms[0] for terms in block_terms(workload, platform).values()
+        )
+        assert (
+            table.initial_cycles()
+            == price_subset(workload, platform, ())[3]
+        )
+
+    def test_non_candidate_contribution_still_priced(self, synthetic_200):
+        """``contribution()`` of a block the table never asked about
+        still prices it on both fabrics, equal to the oracle terms."""
+        platform = paper_platform(1500, 2)
+        model = CostModel(synthetic_200, platform)
+        table = PackedCostTable.from_model(model)
+        candidate_ids = {bb_id for bb_id, _ in table.candidates}
+        outsider = next(
+            b for b in synthetic_200.blocks if b.bb_id not in candidate_ids
+        )
+        contribution = model.contribution(outsider)
+        fpga, cgc, comm, rows = block_terms(synthetic_200, platform)[
+            outsider.bb_id
+        ]
+        assert (
+            contribution.fpga_ticks,
+            contribution.cgc_ticks,
+            contribution.comm_ticks,
+            contribution.cgc_rows,
+        ) == (fpga, cgc, comm, rows)
+        assert model.stats.blocks_mapped == len(synthetic_200.blocks)
 
 
 class TestEngineConfigFreeze:
